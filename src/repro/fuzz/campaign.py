@@ -254,10 +254,10 @@ class Campaign:
         kill_marker = os.path.join(marker_dir, "kill-once")
         flake_marker = os.path.join(marker_dir, "flaky-once")
         tasks = [
-            PoolTask("repro.fuzz._testhooks:hang", (3600.0,), timeout=1.5),
-            PoolTask("repro.fuzz._testhooks:kill_self_once", (kill_marker,)),
-            PoolTask("repro.fuzz._testhooks:flaky_once", (flake_marker,)),
-            PoolTask("repro.fuzz._testhooks:echo", ("alive",)),
+            PoolTask("repro.harness.faults:hang", (3600.0,), timeout=1.5),
+            PoolTask("repro.harness.faults:kill_self_once", (kill_marker,)),
+            PoolTask("repro.harness.faults:flaky_once", (flake_marker,)),
+            PoolTask("repro.harness.faults:echo", ("alive",)),
         ]
         outcomes = pool.run(tasks)
         expectations = [

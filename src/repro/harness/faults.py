@@ -6,9 +6,7 @@ artifact store (PR 7):
 * **Subprocess hooks** — plain functions addressed by ``module:function``
   task paths (``repro.harness.faults:hang``) that run *inside* pool
   workers and simulate infrastructure failures: a wedged task, a worker
-  killed out from under the pool, a flake that heals on retry.  They
-  were born as ``repro.fuzz._testhooks`` (which remains as an alias
-  module so recorded task paths keep resolving).
+  killed out from under the pool, a flake that heals on retry.
 
 * **In-process fault points** — a small armed-fault registry the
   artifact store consults at its failure-prone moments (payload write,
@@ -134,7 +132,7 @@ def maybe_die(point):
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-# -- subprocess hooks (the former repro.fuzz._testhooks) ----------------
+# -- subprocess hooks --------------------------------------------------
 
 def echo(value):
     """Round-trip check."""

@@ -21,11 +21,16 @@ shear.  When disabled, :func:`tracer` returns a shared null object
 whose ``span``/``start_span`` hand back no-op spans: the cost at an
 instrumented call site is one method call, no allocation.
 
-Nesting is tracked per-thread; ``span()`` is a context manager,
+Nesting is tracked per context (a :class:`contextvars.ContextVar`), so
+concurrent asyncio tasks on one event-loop thread each nest under their
+own spans, as threads do; ``span()`` is a context manager,
 ``start_span``/``finish`` the explicit form for spans that outlive a
-scope (parallel task lifetimes).
+scope (parallel task lifetimes).  A forked child starts with its own
+pid stamp, sequence and an empty span stack, so its span ids never
+repeat the parent's.
 """
 
+import contextvars
 import json
 import os
 import threading
@@ -105,46 +110,46 @@ class Span:
 
 
 class Tracer:
-    """JSON-lines span emitter with per-thread nesting."""
+    """JSON-lines span emitter with per-context nesting."""
 
     enabled = True
 
     def __init__(self, path):
         self.path = str(path)
         self._fh = open(self.path, "a", encoding="utf-8")
+        self._summary = {}
+        self._reset_identity()
+
+    def _reset_identity(self):
+        """Fresh lock, pid stamp, sequence and span stack (at start, and
+        in a forked child, whose inherited ones belong to the parent)."""
         self._lock = threading.Lock()
         self._seq = 0
         self._pid = os.getpid()
-        self._stack = threading.local()
-        self._summary = {}
+        self._stack = contextvars.ContextVar("repro.obs.trace.stack",
+                                             default=())
 
     def _next_id(self):
         with self._lock:
             self._seq += 1
             return "%d:%d" % (self._pid, self._seq)
 
-    def _current(self):
-        stack = getattr(self._stack, "spans", None)
-        if stack is None:
-            stack = self._stack.spans = []
-        return stack
-
     def start_span(self, name, **attrs):
-        stack = self._current()
+        stack = self._stack.get()
         parent = stack[-1].span_id if stack else None
         span = Span(self, name, self._next_id(), parent, attrs)
-        stack.append(span)
+        self._stack.set(stack + (span,))
         return span
 
     def span(self, name, **attrs):
         return self.start_span(name, **attrs)
 
     def _finish(self, span, dur):
-        stack = self._current()
+        stack = self._stack.get()
         # Out-of-order finishes (explicit start_span held across scopes)
         # just remove the span wherever it sits.
         if span in stack:
-            stack.remove(span)
+            self._stack.set(tuple(s for s in stack if s is not span))
         line = {
             "name": span.name,
             "span": span.span_id,
@@ -235,4 +240,10 @@ def _auto_enable():
         enable_tracing(path)
 
 
+def _reset_in_child():
+    if _tracer.enabled:
+        _tracer._reset_identity()
+
+
+os.register_at_fork(after_in_child=_reset_in_child)
 _auto_enable()

@@ -22,9 +22,9 @@ this system, so a new checker is a *plugin* rather than core surgery:
   observers for observer-style checkers (Valgrind/Mudflap/red-zone).
 * **VM dispatch** — :meth:`register_vm_handlers` is called once at
   registration with :func:`repro.vm.dispatch.register_opcode`; a policy
-  with its own IR opcode registers an interpreter handler and a
-  compiled-engine builder there, and declares the opcode's optimizer
-  traits via :func:`repro.policy.opcodes.register_opcode_traits`.
+  with its own IR opcode registers its interpreter handler there (the
+  compiled engine runs it through an adapter) and declares the opcode's
+  optimizer traits via :func:`repro.policy.opcodes.register_opcode_traits`.
 * **Costs** — ``cost_model`` is merged into
   :data:`repro.vm.costs.OP_COSTS` at registration
   (:func:`repro.vm.costs.register_costs`).
@@ -162,8 +162,8 @@ class CheckerPolicy:
     def register_vm_handlers(self, register_opcode):
         """Called once when the policy is registered.  ``register_opcode``
         is :func:`repro.vm.dispatch.register_opcode`; policies with
-        their own IR opcodes install interpreter handlers and engine
-        builders here.  Default: nothing to register."""
+        their own IR opcodes install their interpreter handlers here.
+        Default: nothing to register."""
 
     def capability_row(self):
         """An extension :class:`~repro.baselines.capabilities.CapabilityRow`

@@ -48,6 +48,12 @@ from .workers import CRASH, OK, TIMEOUT, WarmPool
 #: Request bodies past this are rejected 413 before JSON parsing.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+
+class HeaderTooLarge(Exception):
+    """A request or header line longer than the stream's line limit
+    (asyncio's 64 KiB default); answered 431."""
+
+
 #: CLI exit code → HTTP status (the deterministic mapping; see module
 #: docstring for the rationale per row).
 STATUS_FOR_EXIT = {0: 200, 2: 403, 3: 403, 4: 422, 5: 500, 64: 400}
@@ -240,6 +246,8 @@ class ServeDaemon:
                 status, body, headers = await self._dispatch(reader)
             except UsageError as error:
                 status, body, headers = 400, {"error": str(error)}, {}
+            except HeaderTooLarge as error:
+                status, body, headers = 431, {"error": str(error)}, {}
             except AdmissionError as error:
                 status, body = 503, {"error": str(error)}
                 headers = {"Retry-After": "1"}
@@ -254,8 +262,16 @@ class ServeDaemon:
             except (ConnectionError, OSError):
                 pass
 
+    @staticmethod
+    async def _read_line(reader):
+        try:
+            return await reader.readline()
+        except ValueError:  # asyncio's LimitOverrunError, re-raised
+            raise HeaderTooLarge("request line or header line too long") \
+                from None
+
     async def _read_request(self, reader):
-        request_line = await reader.readline()
+        request_line = await self._read_line(reader)
         if not request_line:
             raise UsageError("empty request")
         parts = request_line.decode("latin-1").split()
@@ -264,7 +280,7 @@ class ServeDaemon:
         method, target, _version = parts
         headers = {}
         while True:
-            line = await reader.readline()
+            line = await self._read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -275,16 +291,25 @@ class ServeDaemon:
                 length = int(headers.get("content-length", ""))
             except ValueError:
                 raise UsageError("POST requires Content-Length") from None
+            if length < 0:
+                raise UsageError(f"negative Content-Length {length}")
             if length > MAX_BODY_BYTES:
                 raise UsageError(f"request body {length} bytes exceeds the "
                                  f"{MAX_BODY_BYTES} byte bound")
-            body = await reader.readexactly(length)
+            try:
+                body = await reader.readexactly(length)
+            except asyncio.IncompleteReadError as error:
+                raise UsageError(
+                    f"request body ended after {len(error.partial)} of "
+                    f"{length} bytes") from None
         return method, target.partition("?")[0], body
 
     async def _write_response(self, writer, status, body, headers=None):
         reason = {200: "OK", 400: "Bad Request", 403: "Forbidden",
                   404: "Not Found", 405: "Method Not Allowed",
-                  422: "Unprocessable Entity", 500: "Internal Server Error",
+                  422: "Unprocessable Entity",
+                  431: "Request Header Fields Too Large",
+                  500: "Internal Server Error",
                   503: "Service Unavailable",
                   504: "Gateway Timeout"}.get(status, "Response")
         blob = json.dumps(body, sort_keys=True).encode("utf-8") + b"\n"

@@ -16,14 +16,14 @@ submit/await shape:
   and the request — pure compile+run, so idempotent — is retried once
   on another attempt before resolving ``crash``.  Other in-flight
   requests never notice: each worker slot owns a private pipe pair.
-* **Shared artifacts, three cache levels.**  Inside each worker a
-  sharded, size-bounded LRU (:class:`repro.store.LRUCache` per shard)
-  fronts the persistent artifact store (``REPRO_STORE``), which all
-  workers share; a cold key is compiled **once** per store thanks to
-  single-flight coalescing (:func:`compile_coalesced`): the first
-  worker takes an advisory flight lock and compiles while the herd
-  blocks on the lock, re-checks the store, and loads the bytes the
-  winner wrote.
+* **Shared artifacts, three cache levels.**  Inside each worker one
+  size-bounded LRU (:class:`repro.store.LRUCache`, the same 256-entry
+  bound :class:`repro.api.Session` uses) fronts the persistent artifact
+  store (``REPRO_STORE``), which all workers share; a cold key is
+  compiled **once** per store thanks to single-flight coalescing
+  (:func:`compile_coalesced`): the first worker takes an advisory
+  flight lock and compiles while the herd blocks on the lock,
+  re-checks the store, and loads the bytes the winner wrote.
 
 Metrics: ``repro_serve_queue_depth`` / ``repro_serve_inflight`` gauges
 and ``repro_serve_worker_{spawns,kills,respawns}_total`` counters.
@@ -48,11 +48,6 @@ ERROR = "error"
 #: How long a cold-key loser waits on the winner's flight lock before
 #: degrading to its own compile (liveness beats dedup).
 COALESCE_WAIT_SECONDS = 120.0
-
-#: Worker-side compiled-program cache geometry: ``SHARDS`` independent
-#: LRUs so one hot profile cannot evict everything else, each bounded.
-CACHE_SHARDS = 8
-CACHE_ENTRIES_PER_SHARD = 32
 
 _task_call = "repro.serve.workers:execute_serve_request"
 
@@ -275,38 +270,28 @@ class WarmPool:
 # ----------------------------------------------------------------------
 # Worker-side execution (runs inside ``python -m repro.serve.worker``).
 
-#: Per-process sharded compiled-program cache, created on first use.
-_shards = None
-_shard_lock = threading.Lock()
+#: Per-process compiled-program cache, created on first use.
+_cache = None
+_cache_lock = threading.Lock()
 _store = None
 _store_dir_opened = None
 
 
 def _worker_cache():
-    global _shards
-    if _shards is None:
+    global _cache
+    if _cache is None:
+        from ..api.session import DEFAULT_CACHE_ENTRIES
         from ..store import LRUCache
 
-        with _shard_lock:
-            if _shards is None:
-                _shards = [LRUCache(max_entries=CACHE_ENTRIES_PER_SHARD)
-                           for _ in range(CACHE_SHARDS)]
-    return _shards
-
-
-def _shard_for(key):
-    return _worker_cache()[hash(key) % CACHE_SHARDS]
+        with _cache_lock:
+            if _cache is None:
+                _cache = LRUCache(max_entries=DEFAULT_CACHE_ENTRIES)
+    return _cache
 
 
 def worker_cache_counters():
-    """Summed counters over every shard (the response cache block)."""
-    totals = {"entries": 0, "hits": 0, "misses": 0, "evictions": 0}
-    for shard in _worker_cache():
-        counters = shard.counters()
-        for name in totals:
-            totals[name] += counters[name]
-    totals["shards"] = CACHE_SHARDS
-    return totals
+    """The worker cache's counters (the response cache block)."""
+    return _worker_cache().counters()
 
 
 def _open_store(store_dir):
@@ -404,8 +389,8 @@ def execute_serve_request(payload):
     optimize = payload.get("opt", True)
     budget = payload["budget"]
     cache_key = (payload["source"], profile.cache_key(), optimize)
-    shard = _shard_for(cache_key)
-    cached = shard.get(cache_key)
+    cache = _worker_cache()
+    cached = cache.get(cache_key)
     if cached is not None:
         compiled, fingerprint = cached
         origin = "memory"
@@ -421,7 +406,7 @@ def execute_serve_request(payload):
             return {"error": f"compile error: {error}",
                     "cli_exit": EX_COMPILE, "origin": None,
                     "pid": os.getpid()}
-        shard.put(cache_key, (compiled, fingerprint))
+        cache.put(cache_key, (compiled, fingerprint))
     if payload.get("mode") == "compile":
         from ..store.format import compute_key
 

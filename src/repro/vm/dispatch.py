@@ -1,99 +1,43 @@
 """Shared VM dispatch registry: one door for new opcodes, two engines.
 
-The interpreting machine (:mod:`repro.vm.machine`) and the
-closure-compiled engine (:mod:`repro.vm.engine`) each keep a dispatch
-table mapping opcode names to execution strategies.  Historically those
-tables were closed module literals with the SoftBound runtime opcodes
-baked in; this module turns them into registries the two modules
-*populate at import* and that checker policies extend at registration
+The interpreting machine (:mod:`repro.vm.machine`) dispatches through
+:data:`INTERP_HANDLERS`, which it populates at import and checker
+policies extend at registration
 (:meth:`repro.policy.base.CheckerPolicy.register_vm_handlers`).
 
-A registration carries up to two strategies:
+A registration is one interpreter handler, ``fn(machine, frame,
+instr)``: return ``None`` to fall through to the next instruction, or a
+truthy value after setting ``frame.block``/``index`` for control
+transfers (exactly the discipline of the built-in handlers).
 
-* ``interp`` — ``fn(machine, frame, instr)``; the reference
-  interpreter's handler.  Return ``None`` to fall through to the next
-  instruction, or a truthy value after setting ``frame.block``/``index``
-  for control transfers (exactly the discipline of the built-in
-  handlers).
-* ``builder`` — ``fn(instr, index, offsets, block) -> make(engine,
-  function) -> op(frame, regs) -> next_index``; the compiled engine's
-  two-stage closure builder (see :mod:`repro.vm.engine`'s module
-  docstring for the contract).  When omitted, the engine wraps the
-  interpreter handler in a generic adapter charging the same
-  instruction-count bookkeeping, so a policy can ship a working opcode
-  with only an ``interp`` handler and specialize later.
+The closure-compiled engine (:mod:`repro.vm.engine`) generates its own
+ops for the core opcodes from templates; an opcode registered here runs
+on it through the engine's ``interp`` template, which charges the same
+instruction-count bookkeeping (count, budget check, then the handler).
+Only straight-line opcodes can rely on that: a handler that transfers
+control traps on the compiled engine.
 
-Both machine and engine read the *live* dicts, so opcodes registered
-after a machine was constructed are still dispatchable (the compiled
-engine translates blocks lazily).
+Both engines read the *live* dict, so opcodes registered after a
+machine was constructed are still dispatchable (the compiled engine
+translates blocks lazily).
 """
 
 #: opcode -> fn(machine, frame, instr) for the reference interpreter.
 INTERP_HANDLERS = {}
 
-#: opcode -> two-stage closure builder for the compiled engine.
-ENGINE_BUILDERS = {}
 
+def register_opcode(opcode, interp):
+    """Register the interpreter handler for ``opcode``.
 
-def register_opcode(opcode, interp=None, builder=None):
-    """Register execution strategies for ``opcode``.
-
-    Idempotent for identical re-registration; conflicting handlers for
-    the same opcode raise (two policies disagreeing on an opcode's
-    semantics is a bug).  Either strategy may be None — the engine
-    falls back to adapting the interpreter handler.
+    Idempotent for identical re-registration; a conflicting handler for
+    the same opcode raises (two policies disagreeing on an opcode's
+    semantics is a bug).
     """
-    if interp is None and builder is None:
+    if interp is None:
         raise ValueError(f"register_opcode({opcode!r}): no handler given")
-    for table, fn in ((INTERP_HANDLERS, interp), (ENGINE_BUILDERS, builder)):
-        if fn is None:
-            continue
-        existing = table.get(opcode)
-        if existing is not None and existing is not fn:
-            raise ValueError(f"opcode {opcode!r} already has a registered "
-                             f"handler")
-        table[opcode] = fn
+    existing = INTERP_HANDLERS.get(opcode)
+    if existing is not None and existing is not interp:
+        raise ValueError(f"opcode {opcode!r} already has a registered "
+                         f"handler")
+    INTERP_HANDLERS[opcode] = interp
     return opcode
-
-
-def adapt_interp_handler(opcode):
-    """A generic compiled-engine builder delegating to the registered
-    interpreter handler — correct (same statistics discipline as the
-    built-in builders: count, budget check, then execute) but
-    unspecialized.  Only straight-line opcodes may rely on this
-    fallback (registered check/metadata opcodes are; a control-transfer
-    opcode must ship a real builder).  Policies that care about speed
-    register a real builder too."""
-    from .errors import Trap, TrapKind
-
-    def build(instr, index, offsets, block):
-        nxt = index + 1
-
-        def make(engine, function):
-            from .machine import RESOURCE_LIMIT_MSG
-
-            machine = engine.machine
-            st = engine.stats
-            limit = engine.limit
-            handler = INTERP_HANDLERS[opcode]
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, RESOURCE_LIMIT_MSG)
-                if handler(machine, frame, instr) is not None:
-                    # The handler transferred control (interp contract),
-                    # which this adapter cannot mirror — failing loudly
-                    # beats silently executing the wrong successor.
-                    raise Trap(
-                        TrapKind.UNREACHABLE,
-                        f"opcode {opcode!r} transfers control; it needs "
-                        f"a real engine builder, not the interp adapter")
-                return nxt
-
-            return op
-
-        return make
-
-    return build

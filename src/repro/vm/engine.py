@@ -1,38 +1,79 @@
-"""Closure-compiled execution engine (threaded code).
+"""Closure-compiled execution engine (threaded code), generated from
+one source template per opcode.
 
 The reference interpreter in :mod:`repro.vm.machine` pays, on every
 executed instruction: a dict dispatch, an unbound-method call, one
 ``isinstance`` chain per operand, a string-keyed ``stats.charge`` and —
 for memory operations — a segment scan plus ``int.from_bytes``.  None of
 that work depends on runtime values, so this module hoists all of it to
-a one-time per-block compilation pass, the classic closure-compilation /
+a one-time compilation pass, the classic closure-compilation /
 threaded-code technique from the interpreter-optimization literature:
 
 * every instruction becomes one specialized Python closure with its
   operands pre-resolved (register uid / constant / resolved symbol
-  address), its cost units precomputed into numeric increments, its
-  branch targets pre-bound to block objects, and its observer /
-  SoftBound branches specialized away when the machine has none;
+  address), its cost units precomputed into numeric increments and its
+  branch targets pre-bound to flat op offsets;
 * dominant instruction pairs are fused into superinstructions
-  (``cmp``+``cbr``, ``gep``+``load``/``store``,
-  ``sb_meta_load``+``sb_check``, ``gep``+``sb_check``) that skip one
-  dispatch and one register-file round-trip while charging exactly the
-  same statistics;
+  (``cmp``+``cbr``, ``gep``+``load``/``store``/``sb_check``,
+  ``sb_meta_load``+``sb_check``, ``sb_check``+``sb_temporal_check``)
+  that skip one dispatch and one register-file round-trip while
+  charging exactly the same statistics;
 * the dispatch loop is ``i = ops[i](frame, regs)``: each closure returns
   the next opcode index (a compile-time constant for straight-line
   code), so there is no per-step opcode lookup at all.
 
-Compilation is two-level so its cost amortizes across runs:
+**Templates.**  Each opcode's semantics is written once, in
+:data:`TEMPLATES`: the body of an ``op(frame, regs)`` closure as source
+text.  ``$name`` is an operand hole (the instruction attribute of that
+name) or a code literal the opcode's binder supplies (``$expr``).  A
+line prefixed ``?flag`` is kept only when the flag is set (``?!flag``:
+only when clear), and a line prefixed ``=`` is pure: when every operand
+of a standalone op is a constant, the pure lines run once at
+specialization time instead (constant folding).  An operand hole
+renders as an inlined register read (``regs[r_a]``; adjacent reads
+share one ``try`` whose ``except KeyError`` repeats them with
+``regs.get(r_a, 0)``), a bound constant, or a trapping accessor for an
+unresolved symbol;
+``int($a)`` drops the ``int()`` when the operand's static type rules
+out a float.
 
-* a **machine-independent template** — the list of closure *builders*,
-  including the fusion plan and all constants derivable from the IR —
-  is cached on each :class:`~repro.ir.module.BasicBlock` and
-  invalidated via the block's ``version`` stamp whenever the optimizer
-  pipeline or the SoftBound transform rewrites the block;
-* the per-:class:`~repro.vm.machine.Machine` specialization (binding
-  stats, memory codecs, the metadata facility, resolved symbol
-  addresses, call sites) just invokes the builders, lazily, the first
-  time a block executes.
+**Shapes.**  A binder per opcode turns an instruction on a machine into
+``(template, flags, bound values)``.  The template, its flags and its
+operand kinds form the *shape*; :func:`_generate` turns a shape into a
+closure factory with ``exec`` (the way :mod:`dataclasses` and
+``namedtuple`` build their methods), registers its source in
+:mod:`linecache` so tracebacks show the template line, and caches it
+per process in ``_SHAPES``.  Specializing an instruction is then one
+factory call with the bound values, so every generated op is plain
+straight-line Python.  A shape is generated once per process, lazily,
+the first time an instruction of that shape is specialized.
+
+**Fusion is concatenation.**  A fused pair's op is the first template,
+a second budget check, then the second template; an operand of the
+second half that the first half just computed is read from the first
+half's local instead of the register file.  The second instruction
+keeps its standalone op at its own index so call returns and
+``longjmp`` can still resume there.
+
+**Profiling is a flag.**  The check-site counter is one ``?profile``
+line after the budget check of each profiled template (the same
+program point the interpreter records at), closing over the profile's
+``counts`` dict; with no profile attached the line is absent, so the
+disabled path builds no profiling closure at all.
+
+``call`` and ``ret`` stay hand-written (frame transfer).  An opcode a
+checker policy registers with only an interpreter handler runs through
+the ``interp`` template, which calls that handler.
+
+Compilation is two-level so its cost amortizes across runs: the
+machine-independent layout (flat offsets, fusion plan) is cached on each
+function and invalidated via its blocks' ``version`` stamps; the
+per-:class:`~repro.vm.machine.Machine` specialization happens lazily,
+one op at a time.  A straight-line op's first execution runs through
+the reference interpreter's handlers and its second specializes it:
+most ops of a short run (a freshly generated program) execute once, and
+interpreting an instruction once costs far less than specializing it,
+while an op in a loop pays one interpreted execution.
 
 Semantics are bit-identical to the reference interpreter — execution
 order, trap kinds/addresses/messages and every
@@ -41,10 +82,16 @@ order, trap kinds/addresses/messages and every
 attack and bug corpora.
 """
 
+import linecache
+import re
+from functools import partial
+
+from ..ir.irtypes import I64
 from ..ir.values import Const, Register, SymbolRef
 from ..obs.profiler import site_of
 from .costs import OP_COSTS
-from .errors import Trap, TrapKind
+from .dispatch import INTERP_HANDLERS
+from .errors import Trap, TrapKind, temporal_violation
 from .memory import _F64, _SCALAR_CODECS
 from .machine import (
     RESOURCE_LIMIT_MSG as _RESOURCE_MSG,
@@ -101,23 +148,6 @@ class ClosureEngine:
 
     # -- operand pre-resolution -------------------------------------------
 
-    def spec(self, operand):
-        """Pre-resolve an operand: ``("reg", uid)``, ``("const", value)``
-        (symbols resolve to constant addresses now), or ``("acc", fn)``
-        for the unresolved-symbol edge that must trap lazily.  Builders
-        use the kind to emit closures with the operand access inlined —
-        no per-step accessor call for registers or constants."""
-        if isinstance(operand, Register):
-            return ("reg", operand.uid)
-        if isinstance(operand, Const):
-            return ("const", operand.value)
-        if isinstance(operand, SymbolRef):
-            addr = self.machine.symbol_addrs.get(operand.name)
-            if addr is None:
-                return ("acc", self.acc(operand))
-            return ("const", addr + operand.addend)
-        raise TypeError(f"bad operand {operand!r}")
-
     def acc(self, operand):
         """Compile an operand into a ``fn(regs) -> value`` accessor with
         the isinstance tests done exactly once, here."""
@@ -147,7 +177,9 @@ class ClosureEngine:
     # -- compilation --------------------------------------------------------
 
     def code_for(self, function):
-        """Specialize (or fetch) the compiled closures for ``function``.
+        """The op list for ``function`` on this machine.  Each slot starts
+        as a stub (:func:`_first_run`), so code a run never reaches, or
+        reaches once, is never specialized.
 
         The machine-level cache is validated once here, not per
         transition: IR rewrites happen before execution starts (the
@@ -155,8 +187,10 @@ class ClosureEngine:
         the on-function template), and anything re-specializing a live
         machine goes through :meth:`invalidate`.
         """
-        builders, _offsets = _function_template(function)
-        ops = [make(self, function) for make in builders]
+        ops = []
+        ops.extend(partial(_first_run, ops, i, make, instrs, self, function)
+                   for i, (make, instrs) in enumerate(
+                       _function_template(function)))
         self._code[id(function)] = ops
         return ops
 
@@ -198,11 +232,36 @@ class ClosureEngine:
                 i = ops[i](frame, regs)
 
 
+def _first_run(ops, i, make, instrs, engine, function, frame, regs):
+    """Op ``i``'s first execution.  A straight-line op (``instrs`` given)
+    runs once through the reference interpreter's handlers — most ops
+    of a short run execute only once, and interpreting an instruction
+    costs a fraction of specializing it — and is specialized when it
+    runs again; any other op is specialized now."""
+    if instrs is None:
+        return _specialize(ops, i, make, engine, function, frame, regs)
+    ops[i] = partial(_specialize, ops, i, make, engine, function)
+    st = engine.stats
+    machine = engine.machine
+    for instr in instrs:
+        n = st.instructions + 1
+        st.instructions = n
+        if n > engine.limit:
+            raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
+        INTERP_HANDLERS[instr.opcode](machine, frame, instr)
+    return i + len(instrs)
+
+
+def _specialize(ops, i, make, engine, function, frame, regs):
+    op = ops[i] = make(engine, function)
+    return op(frame, regs)
+
+
 # ---------------------------------------------------------------------------
-# Function templates (machine-independent): each function's blocks are laid
-# out into one flat list of closure builders — in-function branches resolve
-# to flat offsets at compile time, so taken branches never leave the inner
-# dispatch loop.  The template is cached on the function and invalidated
+# Function layout (machine-independent): each function's blocks are laid
+# out into one flat list of op builders — in-function branches resolve to
+# flat offsets at compile time, so taken branches never leave the inner
+# dispatch loop.  The layout is cached on the function and invalidated
 # through its blocks' ``version`` stamps.
 # ---------------------------------------------------------------------------
 
@@ -211,7 +270,7 @@ def _function_template(function):
     versions = tuple(getattr(block, "version", 0) for block in function.blocks)
     cached = getattr(function, "_engine_template", None)
     if cached is not None and cached[0] == versions:
-        return cached[1], cached[2]
+        return cached[1]
     # Layout pass: flat offset of each block (a block without a
     # terminator — malformed, pre-verifier IR — gets a sentinel slot so
     # falling off it traps exactly like the reference interpreter).
@@ -225,22 +284,63 @@ def _function_template(function):
     builders = []
     for block in function.blocks:
         instrs = block.instructions
-        count = len(instrs)
         base = offsets[block.label]
         for i, instr in enumerate(instrs):
-            flat = base + i
-            fused = None
-            if i + 1 < count:
-                fused = _try_fuse(instr, instrs[i + 1], flat, offsets, block)
-            builders.append(fused if fused is not None
-                            else _build_instr(instr, flat, offsets, block))
+            if i + 1 < len(instrs) and _fuses(instr, instrs[i + 1]):
+                pair = (instr, instrs[i + 1])
+                builders.append((_templated(pair, base + i + 2, offsets, block),
+                                 _interpreted(pair)))
+            else:
+                builders.append(_build_instr(instr, base + i, offsets, block))
         if block.terminator is None:
-            builders.append(_build_sentinel(block.label))
+            builders.append((_build_sentinel(block.label), None))
     try:
-        function._engine_template = (versions, builders, offsets)
+        function._engine_template = (versions, builders)
     except AttributeError:
         pass  # exotic function objects without attribute support
-    return builders, offsets
+    return builders
+
+
+def _build_instr(instr, index, offsets, block):
+    """``(op builder, the instructions its first run may interpret)``."""
+    opcode = instr.opcode
+    if opcode == "call":
+        return _build_call(instr, index, block), None
+    if opcode == "ret":
+        return _build_ret(instr), None
+    if opcode not in _BINDERS and opcode not in INTERP_HANDLERS:
+        raise Trap(TrapKind.UNREACHABLE, f"no builder for opcode {opcode}")
+    return (_templated((instr,), index + 1, offsets, block),
+            _interpreted((instr,)))
+
+
+def _interpreted(instrs):
+    """``instrs`` when every one is a core straight-line opcode, whose
+    first execution may go through the interpreter (see _first_run)."""
+    if all(instr.opcode in _INTERPRETED for instr in instrs):
+        return instrs
+    return None
+
+
+def _fuses(first, second):
+    """The fusion plan: which adjacent pairs become one op."""
+    if first.opcode == "cmp" and second.opcode == "cbr":
+        return (isinstance(second.cond, Register)
+                and second.cond.uid == first.dst.uid)
+    if first.opcode == "gep" and second.opcode in ("load", "store"):
+        return (isinstance(second.addr, Register)
+                and second.addr.uid == first.dst.uid)
+    if second.opcode == "sb_check" and not second.is_fnptr_check:
+        if first.opcode == "sb_meta_load":
+            return (isinstance(second.base, Register)
+                    and isinstance(second.bound, Register)
+                    and second.base.uid == first.dst_base.uid
+                    and second.bound.uid == first.dst_bound.uid)
+        if first.opcode == "gep":
+            return (isinstance(second.ptr, Register)
+                    and second.ptr.uid == first.dst.uid)
+    return (first.opcode == "sb_check" and second.opcode == "sb_temporal_check"
+            and not first.is_fnptr_check)
 
 
 def _build_sentinel(label):
@@ -253,1140 +353,626 @@ def _build_sentinel(label):
     return make
 
 
-def _build_instr(instr, index, offsets, block):
-    builder = _BUILDERS.get(instr.opcode)
-    if builder is None:
-        # A policy opcode registered with only an interpreter handler
-        # still executes under this engine through the generic adapter.
-        from .dispatch import INTERP_HANDLERS, adapt_interp_handler
+# ---------------------------------------------------------------------------
+# Templates: one per opcode family (see the module docstring for the
+# notation).  Every op starts with the instruction count and budget
+# check, which the generator writes; a template ends by falling through
+# to ``return nxt`` unless its last line returns or raises.
+# ---------------------------------------------------------------------------
 
-        if instr.opcode in INTERP_HANDLERS:
-            return adapt_interp_handler(instr.opcode)(
-                instr, index, offsets, block)
-        raise Trap(TrapKind.UNREACHABLE, f"no builder for opcode {instr.opcode}")
-    return builder(instr, index, offsets, block)
+_SEGMENT = """\
+?codec nonlocal cached
+?codec seg = cached
+?codec if addr < seg.base or addr + size > seg.end:
+?codec     seg = segment_for(addr, size)
+?codec     if seg is None:
+?codec         raise Trap(TrapKind.SEGFAULT, f"VERB of {size} bytes", address=addr)
+?codec     cached = seg
+"""
+
+TEMPLATES = {
+    # alloca, mov, gep, cmp, cast and the non-dividing binops.
+    "value": """\
+= value = $expr
+=?wrap if value >= sbit:
+=?wrap     value -= span
+regs[dst] = value
+?cost st.cost += cost
+""",
+    "divide": """\
+?!unsigned a = $a
+?!unsigned b = $b
+?unsigned a = int($a) & mask
+?unsigned b = int($b) & mask
+if b == 0:
+    raise Trap(TrapKind.DIV_BY_ZERO, "integer division by zero")
+?!unsigned q = abs(a) // abs(b) * (1 if (a >= 0) == (b >= 0) else -1)
+value = ($expr) & mask
+?wrap if value >= sbit:
+?wrap     value -= span
+regs[dst] = value
+st.cost += cost
+""",
+    "load": """\
+addr = $addr
+?obs for observer in observers:
+?obs     observer.on_load(addr, size)
+""" + _SEGMENT.replace("VERB", "read") + """\
+?codec regs[dst] = unpack(seg.data, addr - seg.base)[0]
+?!codec regs[dst] = read(addr)
+st.cost += _COST_LOAD
+st.memory_ops += 1
+?ptrval st.pointer_memory_ops += 1
+""",
+    "store": """\
+addr = $addr
+?float value = float($value)
+?!float value = int($value) & vmask
+?obs for observer in observers:
+?obs     observer.on_store(addr, size)
+""" + _SEGMENT.replace("VERB", "write") + """\
+?codec pack_into(seg.data, addr - seg.base, value)
+?!codec write(addr, value)
+st.cost += _COST_STORE
+st.memory_ops += 1
+?ptrval st.pointer_memory_ops += 1
+?pstore on_pstore(addr, size)
+""",
+    "memcopy": """\
+dst = $dst_addr
+src = $src_addr
+?obs for observer in observers:
+?obs     observer.on_load(src, size)
+?obs     observer.on_store(dst, size)
+memory.write(dst, memory.read(src, size))
+?pstore runtime.on_program_store(dst, size)
+?sb runtime.copy_metadata(src, dst, size, ctype)
+st.cost += cost
+st.memory_ops += 2
+""",
+    "br": """\
+st.cost += _COST_BR
+return target
+""",
+    "cbr": """\
+cond = $cond
+st.cost += _COST_CBR
+return if_true if cond else if_false
+""",
+    "trap": """\
+raise Trap(TrapKind.UNREACHABLE, msg)
+""",
+    # An opcode registered with only an interpreter handler.
+    "interp": """\
+if handler(machine, frame, instr) is not None:
+    raise Trap(TrapKind.UNREACHABLE, msg)
+""",
+    "sb_check": """\
+?profile counts[pkey] = counts.get(pkey, 0) + 1
+ptr = $ptr
+base = $base
+bound = $bound
+size = $size
+st.checks += 1
+st.cost += check_cost
+?fnptr if not (ptr == base == bound) or ptr == 0:
+?fnptr     raise Trap(TrapKind.FUNCTION_POINTER_VIOLATION,
+?fnptr                "indirect call through non-function pointer",
+?fnptr                address=ptr, source="softbound")
+?!fnptr if ptr < base or ptr + size > bound:
+?!fnptr     raise Trap(TrapKind.SPATIAL_VIOLATION,
+?!fnptr                f"{access_kind} of {size} bytes outside [0x{base:x}, 0x{bound:x})",
+?!fnptr                address=ptr, source="softbound")
+""",
+    "sb_temporal_check": """\
+?profile counts[pkey] = counts.get(pkey, 0) + 1
+key = $key
+lock = $lock
+st.temporal_checks += 1
+st.cost += tcost
+if key == 0 or slots.get(lock) != key:
+    ptr = $ptr
+    raise temporal_violation(access_kind, ptr, key, lock)
+""",
+    "sb_meta_load": """\
+?profile counts[pkey] = counts.get(pkey, 0) + 1
+addr = $addr
+facility = machine.sb_runtime.facility
+base, bound = facility.load(addr, st)
+regs[d_base] = base
+regs[d_bound] = bound
+?temporal key, lock = facility.load_temporal(addr, st)
+?temporal regs[d_key] = key
+?temporal regs[d_lock] = lock
+st.metadata_loads += 1
+""",
+    "sb_meta_store": """\
+addr = $addr
+base = $base
+bound = $bound
+facility = machine.sb_runtime.facility
+facility.store(addr, base, bound, st)
+?temporal key = $key
+?temporal lock = $lock
+?temporal facility.store_temporal(addr, key, lock, st)
+st.metadata_stores += 1
+""",
+    "sb_meta_clear": """\
+addr = $addr
+size = $size
+machine.sb_runtime.facility.clear_range(addr, size, st)
+""",
+}
+
+#: Locals a template leaves its destination registers in, which the
+#: second half of a fused pair reads instead of the register file.
+_OUTPUTS = {"value": (("dst", "value"),),
+            "sb_meta_load": (("d_base", "base"), ("d_bound", "bound"))}
+
+#: Bound names both halves of a fused op share (never suffixed).
+_SHARED = frozenset(("st", "limit", "nxt", "counts", "machine"))
+
+_BUDGET = ["st.instructions = n",
+           "if n > limit:",
+           "    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)"]
+
+_HOLE = re.compile(r"int\(\$(\w+)\)|\$(\w+)")
+_SELF_ASSIGN = re.compile(r"\s*(\w+) = \1")
+
+_TEXTS = {}   # (template, flag values) -> (lines, operand holes)
+_SHAPES = {}  # shape key -> (closure factory, its parameter names)
 
 
-# -- straight-line instructions ---------------------------------------------
+def clear_shapes():
+    """Forget every generated shape (after a template is changed)."""
+    _TEXTS.clear()
+    _SHAPES.clear()
 
 
-def _build_alloca(instr, index, offsets, block):
-    uid = instr.dst.uid
-    nxt = index + 1
+def _instantiate(name, flags):
+    """Template ``name`` with its guards resolved and its code literals
+    substituted: ``([(pure, line), ...], ((hole, as_int), ...))``."""
+    lines = []
+    for line in TEMPLATES[name].splitlines():
+        pure = False
+        if line[:1] in ("=", "?"):
+            head, _, line = line.partition(" ")
+            pure = head.startswith("=")
+            guard = head.lstrip("=")
+            if guard and bool(flags[guard.lstrip("?!")]) == guard.startswith("?!"):
+                continue
+        if "$expr" in line:
+            line = line.replace("$expr", flags["expr"])
+        lines.append((pure, line))
+    holes = {}  # hole -> whether any use reads it through int()
+    for _, line in lines:
+        for m in _HOLE.finditer(line):
+            hole = m.group(1) or m.group(2)
+            holes[hole] = holes.get(hole, False) or m.group(1) is not None
+    return lines, tuple(holes.items())
+
+
+def _render(line, kinds, sfx, fallback):
+    """Fill the operand holes of one line: ``kinds`` maps each hole to
+    ``r``/``c``/``a`` (register/constant/trapping accessor, ``f`` added
+    when the value may be a float) or ``=local`` (fused-pair local)."""
+    def fill(m):
+        hole = m.group(1) or m.group(2)
+        kind = kinds[hole]
+        if kind[0] == "=":
+            return kind[1:]
+        if kind[0] == "r":
+            text = (f"regs.get(r_{hole}{sfx}, 0)" if fallback
+                    else f"regs[r_{hole}{sfx}]")
+        elif kind[0] == "c":
+            text = f"c_{hole}{sfx}"
+        else:
+            return f"a_{hole}{sfx}(regs)"
+        return f"int({text})" if m.group(1) and kind[-1] == "f" else text
+
+    return _HOLE.sub(fill, line)
+
+
+def _indent(line):
+    return line[:len(line) - len(line.lstrip())]
+
+
+def _generate(parts, bound_names):
+    """Build the closure factory for one shape: ``parts`` is one
+    ``(template, (lines, holes), kinds, suffix, bound values)`` per
+    instruction, and ``bound_names`` the values a factory call may
+    receive.  Returns the factory and the names it takes, in order."""
+    prelude, body, reads = [], [], []
+
+    def flush():
+        # Adjacent register reads share one try: the fallback redoes
+        # them all with ``get`` (reads are pure, so that is the same).
+        if reads:
+            indent = _indent(reads[0][0])
+            body.extend([indent + "try:"] + ["    " + text for text, _ in reads]
+                        + [indent + "except KeyError:"]
+                        + ["    " + fallback for _, fallback in reads])
+            reads.clear()
+
+    for i, (_, (lines, holes), kinds, sfx, values) in enumerate(parts):
+        body += (["n = st.instructions + 1"] if i == 0 else ["n += 1"]) + _BUDGET
+        kinds = dict(zip([hole for hole, _ in holes], kinds))
+        names = [name for name in values if name not in _SHARED]
+        rename = None
+        if sfx and names:
+            rename = re.compile(r"(?<![\w.$])(%s)\b" % "|".join(names))
+        hoist = (len(parts) == 1 and kinds
+                 and all(kind[0] == "c" for kind in kinds.values()))
+        for pure, line in lines:
+            if rename is not None:
+                line = rename.sub(lambda m: m.group(1) + sfx, line)
+            text = _render(line, kinds, sfx, False)
+            if _SELF_ASSIGN.fullmatch(text):
+                continue
+            if hoist and pure:
+                prelude.append(text)
+                continue
+            fallback = _render(line, kinds, sfx, True)
+            if fallback == text or (reads and _indent(text) != _indent(reads[0][0])):
+                flush()
+            if fallback == text:
+                body.append(text)
+            else:
+                reads.append((text, fallback))
+    flush()
+    if not body[-1].startswith(("return ", "raise ")):
+        body.append("return nxt")
+    used = set(re.findall(r"\w+", "\n".join(prelude + body)))
+    params = [name for name in bound_names if name in used]
+    source = "\n".join(
+        [f"def factory({', '.join(params)}):"]
+        + ["    " + line for line in prelude]
+        + ["    def op(frame, regs):"]
+        + ["        " + line for line in body]
+        + ["    return op", ""])
+    filename = (f"<engine shape {len(_SHAPES)}: "
+                f"{'+'.join(part[0] for part in parts)}>")
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace["factory"], params
+
+
+def _templated(instrs, nxt, offsets, block):
+    """Builder of the op for one instruction or a fused pair."""
 
     def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        offset = _frame_layout(function)[0][uid]
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            regs[uid] = frame.base + offset
-            return nxt
-
-        return op
+        bound = {"st": engine.stats, "limit": engine.limit, "nxt": nxt}
+        key, parts, outputs = [], [], None
+        for instr, sfx in zip(instrs, ("_1", "_2") if len(instrs) > 1 else ("",)):
+            name, flags, values = _BINDERS.get(instr.opcode, _bind_interp)(
+                engine, function, instr, offsets, block)
+            text_key = (name, tuple(flags.values()))
+            text = _TEXTS.get(text_key)
+            if text is None:
+                text = _TEXTS[text_key] = _instantiate(name, flags)
+            kinds = tuple([_bind_operand(bound, hole, sfx, getattr(instr, hole),
+                                         outputs, engine, as_int)
+                           for hole, as_int in text[1]])
+            key += (text_key, kinds)
+            parts.append((name, text, kinds, sfx, values))
+            if sfx:
+                for value_name, value in values.items():
+                    if value_name not in _SHARED:
+                        value_name += sfx
+                    bound[value_name] = value
+                outputs = {values[out]: local
+                           for out, local in _OUTPUTS.get(name, ())}
+            else:
+                bound.update(values)
+        key = tuple(key)
+        shape = _SHAPES.get(key)
+        if shape is None:
+            shape = _SHAPES[key] = _generate(parts, sorted(bound))
+        factory, params = shape
+        return factory(*[bound[name] for name in params])
 
     return make
 
 
-def _make_loader(engine, irtype):
-    memory = engine.memory
-    if irtype.is_float:
-        return memory.f64_reader()
-    if irtype.is_ptr:
-        return memory.scalar_reader(8, False)
-    try:
-        return memory.scalar_reader(irtype.size, True)
-    except KeyError:
-        size = irtype.size
-        return lambda addr: memory.read_int(addr, size, signed=True)
-
-
-def _load_codec(irtype):
-    """The struct codec decoding a load of ``irtype`` (None when no
-    pre-built codec applies and the generic reader must be used)."""
-    if irtype.is_float:
-        return _F64
-    if irtype.is_ptr:
-        return _SCALAR_CODECS[(8, False)]
-    return _SCALAR_CODECS.get((irtype.size, True))
-
-
-def _build_load(instr, index, offsets, block):
-    uid = instr.dst.uid
-    irtype = instr.type
-    size = irtype.size
-    is_ptr_val = instr.is_pointer_value
-    nxt = index + 1
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        observers = engine.observers
-        ka, va = engine.spec(instr.addr)
-        codec = _load_codec(irtype)
-
-        if ka == "reg" and not observers and codec is not None:
-            # The dominant shape: data/pointer load through a register —
-            # the segment cache and struct decode are inlined, so the
-            # whole load is one closure with no further calls.
-            ua = va
-            unpack = codec.unpack_from
-            width = codec.size
-            segment_for = engine.memory._segment_for
-            cached = engine.memory.heap
-
-            if is_ptr_val:
-
-                def op(frame, regs):
-                    nonlocal cached
-                    n = st.instructions + 1
-                    st.instructions = n
-                    if n > limit:
-                        raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                    try:
-                        addr = regs[ua]
-                    except KeyError:
-                        addr = 0
-                    seg = cached
-                    if addr < seg.base or addr + width > seg.end:
-                        seg = segment_for(addr, width)
-                        if seg is None:
-                            raise Trap(TrapKind.SEGFAULT,
-                                       f"read of {width} bytes", address=addr)
-                        cached = seg
-                    regs[uid] = unpack(seg.data, addr - seg.base)[0]
-                    st.cost += _COST_LOAD
-                    st.memory_ops += 1
-                    st.pointer_memory_ops += 1
-                    return nxt
-
-            else:
-
-                def op(frame, regs):
-                    nonlocal cached
-                    n = st.instructions + 1
-                    st.instructions = n
-                    if n > limit:
-                        raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                    try:
-                        addr = regs[ua]
-                    except KeyError:
-                        addr = 0
-                    seg = cached
-                    if addr < seg.base or addr + width > seg.end:
-                        seg = segment_for(addr, width)
-                        if seg is None:
-                            raise Trap(TrapKind.SEGFAULT,
-                                       f"read of {width} bytes", address=addr)
-                        cached = seg
-                    regs[uid] = unpack(seg.data, addr - seg.base)[0]
-                    st.cost += _COST_LOAD
-                    st.memory_ops += 1
-                    return nxt
-
-            return op
-
-        read = _make_loader(engine, irtype)
-
-        if ka == "reg":
-            ua = va
-            addr_acc = lambda regs: regs.get(ua, 0)
-        elif ka == "const":
-            ca = va
-            addr_acc = lambda regs: ca
-        else:
-            addr_acc = engine.acc(instr.addr)
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            addr = addr_acc(regs)
-            if observers:
-                for observer in observers:
-                    observer.on_load(addr, size)
-            regs[uid] = read(addr)
-            st.cost += _COST_LOAD
-            st.memory_ops += 1
-            if is_ptr_val:
-                st.pointer_memory_ops += 1
-            return nxt
-
-        return op
-
-    return make
-
-
-def _build_store(instr, index, offsets, block):
-    irtype = instr.type
-    size = irtype.size
-    is_float = irtype.is_float
-    is_ptr_val = instr.is_pointer_value
-    nxt = index + 1
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        observers = engine.observers
-        memory = engine.memory
-        if is_float:
-            write = memory.f64_writer()
-        else:
-            try:
-                write = memory.scalar_writer(size)
-            except KeyError:
-                write = lambda addr, value: memory.write_int(addr, value, size)
-        runtime = engine.machine.sb_runtime
-        on_pstore = None
-        if not is_ptr_val and runtime is not None and runtime.observes_stores:
-            on_pstore = runtime.on_program_store
-        ka, va = engine.spec(instr.addr)
-        kv, vv = engine.spec(instr.value)
-
-        if (ka == "reg" and kv == "reg" and not observers
-                and is_float and not is_ptr_val and on_pstore is None):
-            # Float store, register to register — F64 encode inlined.
-            ua, uv = va, vv
-            pack_f64 = _F64.pack_into
-            segment_for = memory._segment_for
-            cached = memory.heap
-
-            def op(frame, regs):
-                nonlocal cached
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                try:
-                    addr = regs[ua]
-                    value = regs[uv]
-                except KeyError:
-                    addr = regs.get(ua, 0)
-                    value = regs.get(uv, 0)
-                seg = cached
-                if addr < seg.base or addr + 8 > seg.end:
-                    seg = segment_for(addr, 8)
-                    if seg is None:
-                        raise Trap(TrapKind.SEGFAULT,
-                                   "write of 8 bytes", address=addr)
-                    cached = seg
-                pack_f64(seg.data, addr - seg.base, float(value))
-                st.cost += _COST_STORE
-                st.memory_ops += 1
-                return nxt
-
-            return op
-
-        codec = None if is_float else _SCALAR_CODECS.get((size, False))
-        if (ka == "reg" and kv == "reg" and not observers
-                and not is_float and on_pstore is None
-                and codec is not None):
-            # The dominant shape: int/pointer store, register to
-            # register — segment cache and struct encode inlined.
-            ua, uv = va, vv
-            pack_into = codec.pack_into
-            vmask = (1 << (size * 8)) - 1
-            segment_for = memory._segment_for
-            cached = memory.heap
-
-            if is_ptr_val:
-
-                def op(frame, regs):
-                    nonlocal cached
-                    n = st.instructions + 1
-                    st.instructions = n
-                    if n > limit:
-                        raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                    try:
-                        addr = regs[ua]
-                        value = regs[uv]
-                    except KeyError:
-                        addr = regs.get(ua, 0)
-                        value = regs.get(uv, 0)
-                    seg = cached
-                    if addr < seg.base or addr + size > seg.end:
-                        seg = segment_for(addr, size)
-                        if seg is None:
-                            raise Trap(TrapKind.SEGFAULT,
-                                       f"write of {size} bytes", address=addr)
-                        cached = seg
-                    pack_into(seg.data, addr - seg.base, int(value) & vmask)
-                    st.cost += _COST_STORE
-                    st.memory_ops += 1
-                    st.pointer_memory_ops += 1
-                    return nxt
-
-            else:
-
-                def op(frame, regs):
-                    nonlocal cached
-                    n = st.instructions + 1
-                    st.instructions = n
-                    if n > limit:
-                        raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                    try:
-                        addr = regs[ua]
-                        value = regs[uv]
-                    except KeyError:
-                        addr = regs.get(ua, 0)
-                        value = regs.get(uv, 0)
-                    seg = cached
-                    if addr < seg.base or addr + size > seg.end:
-                        seg = segment_for(addr, size)
-                        if seg is None:
-                            raise Trap(TrapKind.SEGFAULT,
-                                       f"write of {size} bytes", address=addr)
-                        cached = seg
-                    pack_into(seg.data, addr - seg.base, int(value) & vmask)
-                    st.cost += _COST_STORE
-                    st.memory_ops += 1
-                    return nxt
-
-            return op
-
-        if ka == "reg":
-            ua = va
-            addr_acc = lambda regs: regs.get(ua, 0)
-        elif ka == "const":
-            ca = va
-            addr_acc = lambda regs: ca
-        else:
-            addr_acc = engine.acc(instr.addr)
-        if kv == "reg":
-            uv = vv
-            val_acc = lambda regs: regs.get(uv, 0)
-        elif kv == "const":
-            cv = vv
-            val_acc = lambda regs: cv
-        else:
-            val_acc = engine.acc(instr.value)
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            addr = addr_acc(regs)
-            value = val_acc(regs)
-            if observers:
-                for observer in observers:
-                    observer.on_store(addr, size)
-            if is_float:
-                write(addr, value)
-            else:
-                write(addr, int(value))
-            st.cost += _COST_STORE
-            st.memory_ops += 1
-            if is_ptr_val:
-                st.pointer_memory_ops += 1
-            elif on_pstore is not None:
-                on_pstore(addr, size)
-            return nxt
-
-        return op
-
-    return make
-
-
-def _build_binop(instr, index, offsets, block):
-    op_name = instr.op
-    uid = instr.dst.uid
-    dst_type = instr.dst.type
-    bits = dst_type.size * 8
-    mask = (1 << bits) - 1
-    span = 1 << bits
-    sbit = 1 << (bits - 1)
-    wrap_signed = dst_type.kind != "ptr"
-    cost = OP_COSTS["binop." + op_name]
-    fn = _INT_FNS.get(op_name)
-    nxt = index + 1
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-
-        if fn is not None:
-            ka, va = engine.spec(instr.a)
-            kb, vb = engine.spec(instr.b)
-            # ``int()`` mirrors the interpreter's defensive truncation;
-            # when the operands' static IR types are non-float, a value
-            # of another runtime type cannot reach this op in well-typed
-            # IR, so the conversion is provably the identity and the
-            # closure elides it.
-            ints_needed = _operand_may_be_float(instr.a) or _operand_may_be_float(instr.b)
-            if ka == "reg" and kb == "reg":
-                ua, ub = va, vb
-
-                if ints_needed:
-
-                    def op(frame, regs):
-                        n = st.instructions + 1
-                        st.instructions = n
-                        if n > limit:
-                            raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                        try:
-                            value = fn(int(regs[ua]), int(regs[ub])) & mask
-                        except KeyError:  # unwritten register reads as 0
-                            value = fn(int(regs.get(ua, 0)), int(regs.get(ub, 0))) & mask
-                        if wrap_signed and value >= sbit:
-                            value -= span
-                        regs[uid] = value
-                        st.cost += cost
-                        return nxt
-
-                else:
-
-                    def op(frame, regs):
-                        n = st.instructions + 1
-                        st.instructions = n
-                        if n > limit:
-                            raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                        try:
-                            value = fn(regs[ua], regs[ub]) & mask
-                        except KeyError:
-                            value = fn(regs.get(ua, 0), regs.get(ub, 0)) & mask
-                        if wrap_signed and value >= sbit:
-                            value -= span
-                        regs[uid] = value
-                        st.cost += cost
-                        return nxt
-
-            elif ka == "reg" and kb == "const":
-                ua, cb = va, int(vb)
-
-                if ints_needed:
-
-                    def op(frame, regs):
-                        n = st.instructions + 1
-                        st.instructions = n
-                        if n > limit:
-                            raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                        try:
-                            value = fn(int(regs[ua]), cb) & mask
-                        except KeyError:
-                            value = fn(int(regs.get(ua, 0)), cb) & mask
-                        if wrap_signed and value >= sbit:
-                            value -= span
-                        regs[uid] = value
-                        st.cost += cost
-                        return nxt
-
-                else:
-
-                    def op(frame, regs):
-                        n = st.instructions + 1
-                        st.instructions = n
-                        if n > limit:
-                            raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                        try:
-                            value = fn(regs[ua], cb) & mask
-                        except KeyError:
-                            value = fn(regs.get(ua, 0), cb) & mask
-                        if wrap_signed and value >= sbit:
-                            value -= span
-                        regs[uid] = value
-                        st.cost += cost
-                        return nxt
-
-            elif ka == "const" and kb == "reg":
-                ca, ub = int(va), vb
-
-                if ints_needed:
-
-                    def op(frame, regs):
-                        n = st.instructions + 1
-                        st.instructions = n
-                        if n > limit:
-                            raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                        try:
-                            value = fn(ca, int(regs[ub])) & mask
-                        except KeyError:
-                            value = fn(ca, int(regs.get(ub, 0))) & mask
-                        if wrap_signed and value >= sbit:
-                            value -= span
-                        regs[uid] = value
-                        st.cost += cost
-                        return nxt
-
-                else:
-
-                    def op(frame, regs):
-                        n = st.instructions + 1
-                        st.instructions = n
-                        if n > limit:
-                            raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                        try:
-                            value = fn(ca, regs[ub]) & mask
-                        except KeyError:
-                            value = fn(ca, regs.get(ub, 0)) & mask
-                        if wrap_signed and value >= sbit:
-                            value -= span
-                        regs[uid] = value
-                        st.cost += cost
-                        return nxt
-
-            elif ka == "const" and kb == "const":
-                folded = fn(int(va), int(vb)) & mask
-                if wrap_signed and folded >= sbit:
-                    folded -= span
-
-                def op(frame, regs):
-                    n = st.instructions + 1
-                    st.instructions = n
-                    if n > limit:
-                        raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                    regs[uid] = folded
-                    st.cost += cost
-                    return nxt
-
-            else:
-                a_acc = engine.acc(instr.a)
-                b_acc = engine.acc(instr.b)
-
-                def op(frame, regs):
-                    n = st.instructions + 1
-                    st.instructions = n
-                    if n > limit:
-                        raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                    value = fn(int(a_acc(regs)), int(b_acc(regs))) & mask
-                    if wrap_signed and value >= sbit:
-                        value -= span
-                    regs[uid] = value
-                    st.cost += cost
-                    return nxt
-
-            return op
-
-        a_acc = engine.acc(instr.a)
-        b_acc = engine.acc(instr.b)
-
-        if op_name in ("sdiv", "srem"):
-            is_div = op_name == "sdiv"
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                a = a_acc(regs)
-                b = b_acc(regs)
-                if b == 0:
-                    raise Trap(TrapKind.DIV_BY_ZERO, "integer division by zero")
-                q = abs(a) // abs(b) * (1 if (a >= 0) == (b >= 0) else -1)
-                value = (q if is_div else a - q * b) & mask
-                if wrap_signed and value >= sbit:
-                    value -= span
-                regs[uid] = value
-                st.cost += cost
-                return nxt
-
-        elif op_name in ("udiv", "urem"):
-            is_div = op_name == "udiv"
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                ua = int(a_acc(regs)) & mask
-                ub = int(b_acc(regs)) & mask
-                if ub == 0:
-                    raise Trap(TrapKind.DIV_BY_ZERO, "integer division by zero")
-                value = (ua // ub if is_div else ua % ub) & mask
-                if wrap_signed and value >= sbit:
-                    value -= span
-                regs[uid] = value
-                st.cost += cost
-                return nxt
-
-        elif op_name == "lshr":
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                value = ((int(a_acc(regs)) & mask) >> (b_acc(regs) & 63)) & mask
-                if wrap_signed and value >= sbit:
-                    value -= span
-                regs[uid] = value
-                st.cost += cost
-                return nxt
-
-        elif op_name == "ashr":
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                value = (int(a_acc(regs)) >> (b_acc(regs) & 63)) & mask
-                if wrap_signed and value >= sbit:
-                    value -= span
-                regs[uid] = value
-                st.cost += cost
-                return nxt
-
-        elif op_name == "fdiv":
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                a = a_acc(regs)
-                b = b_acc(regs)
-                if b != 0.0:
-                    value = a / b
-                else:
-                    value = (float("inf") if a > 0
-                             else float("-inf") if a < 0 else float("nan"))
-                regs[uid] = value
-                st.cost += cost
-                return nxt
-
-        elif op_name in ("fadd", "fsub", "fmul"):
-            kind = op_name
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                a = a_acc(regs)
-                b = b_acc(regs)
-                if kind == "fadd":
-                    value = a + b
-                elif kind == "fsub":
-                    value = a - b
-                else:
-                    value = a * b
-                regs[uid] = value
-                st.cost += cost
-                return nxt
-
-        else:
-
-            def op(frame, regs):
-                raise Trap(TrapKind.UNREACHABLE, f"bad binop {op_name}")
-
-        return op
-
-    return make
-
-
-#: Operand-type resolution for unsigned compares is the interpreter's
-#: own helper — shared, not copied.
-_operand_irtype = _operand_type
-
-
-def _operand_may_be_float(operand):
-    """True unless the operand's static IR type rules out a float value
-    (symbols resolve to integer addresses; registers/constants carry
-    their type)."""
-    if isinstance(operand, SymbolRef):
+def _bind_operand(bound, hole, sfx, operand, outputs, engine, as_int):
+    """Bind one operand hole and return its kind: ``r`` register, ``c``
+    constant (symbols resolve to constant addresses), either with ``f``
+    when the template reads it ``as_int`` and its static type allows a
+    float; ``a`` the accessor of an unresolved symbol, which traps when
+    executed; ``=local`` a value the first half of a fused pair left in
+    a local."""
+    if isinstance(operand, Register):
+        if outputs and operand.uid in outputs:
+            return "=" + outputs[operand.uid]
+        bound["r_" + hole + sfx] = operand.uid
+        kind = "r"
+    elif isinstance(operand, Const):
+        bound["c_" + hole + sfx] = operand.value
+        kind = "c"
+    else:
+        addrs = engine.machine.symbol_addrs
+        if isinstance(operand, SymbolRef) and operand.name in addrs:
+            bound["c_" + hole + sfx] = addrs[operand.name] + operand.addend
+            return "c"
+        bound["a_" + hole + sfx] = engine.acc(operand)
+        return "a"
+    if as_int and (operand.type is None or operand.type.is_float):
+        kind += "f"
+    return kind
+
+
+# ---------------------------------------------------------------------------
+# Binders: ``(engine, function, instr, offsets, block) -> (template, flags,
+# bound values)``.  Flags select template lines (and supply the ``$expr``
+# literal); the bound values must cover every name the selected lines
+# use.
+# ---------------------------------------------------------------------------
+
+
+def _value(instr, expr, cost=None, irtype=None, **values):
+    """The ``value`` template: ``dst = expr``, wrapped to ``irtype``
+    when given (pointers are masked but not sign-wrapped)."""
+    values["dst"] = instr.dst.uid
+    wrap = False
+    if irtype is not None:
+        bits = irtype.size * 8
+        values.update(mask=(1 << bits) - 1, sbit=1 << (bits - 1), span=1 << bits)
+        wrap = irtype.kind != "ptr"
+    if cost is not None:
+        values["cost"] = cost
+    return "value", {"expr": expr, "wrap": wrap, "cost": cost is not None}, values
+
+
+def _trap(msg):
+    return "trap", {}, {"msg": msg}
+
+
+def _profiled(engine, instr, opcode, values):
+    """Bind the ``?profile`` counter when a site profile is attached."""
+    profile = engine.machine.site_profile
+    if profile is None:
         return False
-    if isinstance(operand, (Register, Const)):
-        return operand.type is None or operand.type.is_float
+    values["counts"] = profile.counts
+    values["pkey"] = (opcode,) + tuple(site_of(instr))
     return True
 
 
+def _bind_alloca(engine, function, instr, *_):
+    return _value(instr, "frame.base + offset",
+                  offset=_frame_layout(function)[0][instr.dst.uid])
+
+
+def _bind_mov(engine, function, instr, *_):
+    return _value(instr, "$src")  # mov costs 0 units
+
+
+def _bind_gep(engine, function, instr, *_):
+    return _value(instr, "(int($base) + int($offset)) & _M64", _COST_GEP)
+
+
 _PLAIN_PREDS = {
-    "eq": "eq", "feq": "eq", "ne": "ne", "fne": "ne",
-    "slt": "lt", "flt": "lt", "sle": "le", "fle": "le",
-    "sgt": "gt", "fgt": "gt", "sge": "ge", "fge": "ge",
+    "eq": "==", "feq": "==", "ne": "!=", "fne": "!=",
+    "slt": "<", "flt": "<", "sle": "<=", "fle": "<=",
+    "sgt": ">", "fgt": ">", "sge": ">=", "fge": ">=",
 }
-_UNSIGNED_PREDS = {"ult": "lt", "ule": "le", "ugt": "gt", "uge": "ge"}
+_UNSIGNED_PREDS = {"ult": "<", "ule": "<=", "ugt": ">", "uge": ">="}
 
 
-def _cmp_evaluator(instr, engine):
-    """Build ``fn(regs) -> bool`` for a cmp instruction (shared by the
-    standalone cmp closure and the fused cmp+cbr superinstruction), with
-    register/constant operand access inlined per variant."""
+def _bind_cmp(engine, function, instr, *_):
     pred = instr.pred
-    ka, va = engine.spec(instr.a)
-    kb, vb = engine.spec(instr.b)
     if pred in _UNSIGNED_PREDS:
-        relation = _UNSIGNED_PREDS[pred]
-        irtype = _operand_irtype(instr.a, instr.b)
-        umask = (1 << (irtype.size * 8)) - 1
-        if ka == "reg" and kb == "reg":
-            ua, ub = va, vb
-            if relation == "lt":
-                return lambda regs: (int(regs.get(ua, 0)) & umask) < (int(regs.get(ub, 0)) & umask)
-            if relation == "le":
-                return lambda regs: (int(regs.get(ua, 0)) & umask) <= (int(regs.get(ub, 0)) & umask)
-            if relation == "gt":
-                return lambda regs: (int(regs.get(ua, 0)) & umask) > (int(regs.get(ub, 0)) & umask)
-            return lambda regs: (int(regs.get(ua, 0)) & umask) >= (int(regs.get(ub, 0)) & umask)
-        if ka == "reg" and kb == "const":
-            ua, cb = va, int(vb) & umask
-            if relation == "lt":
-                return lambda regs: (int(regs.get(ua, 0)) & umask) < cb
-            if relation == "le":
-                return lambda regs: (int(regs.get(ua, 0)) & umask) <= cb
-            if relation == "gt":
-                return lambda regs: (int(regs.get(ua, 0)) & umask) > cb
-            return lambda regs: (int(regs.get(ua, 0)) & umask) >= cb
-        if ka == "const" and kb == "reg":
-            ca, ub = int(va) & umask, vb
-            if relation == "lt":
-                return lambda regs: ca < (int(regs.get(ub, 0)) & umask)
-            if relation == "le":
-                return lambda regs: ca <= (int(regs.get(ub, 0)) & umask)
-            if relation == "gt":
-                return lambda regs: ca > (int(regs.get(ub, 0)) & umask)
-            return lambda regs: ca >= (int(regs.get(ub, 0)) & umask)
-        a_acc = engine.acc(instr.a)
-        b_acc = engine.acc(instr.b)
-        if relation == "lt":
-            return lambda regs: (int(a_acc(regs)) & umask) < (int(b_acc(regs)) & umask)
-        if relation == "le":
-            return lambda regs: (int(a_acc(regs)) & umask) <= (int(b_acc(regs)) & umask)
-        if relation == "gt":
-            return lambda regs: (int(a_acc(regs)) & umask) > (int(b_acc(regs)) & umask)
-        return lambda regs: (int(a_acc(regs)) & umask) >= (int(b_acc(regs)) & umask)
-    relation = _PLAIN_PREDS.get(pred)
-    if relation is None:
-        def bad(regs):
-            raise Trap(TrapKind.UNREACHABLE, f"bad cmp {pred}")
-
-        return bad
-    if ka == "reg" and kb == "reg":
-        ua, ub = va, vb
-        if relation == "eq":
-            return lambda regs: regs.get(ua, 0) == regs.get(ub, 0)
-        if relation == "ne":
-            return lambda regs: regs.get(ua, 0) != regs.get(ub, 0)
-        if relation == "lt":
-            return lambda regs: regs.get(ua, 0) < regs.get(ub, 0)
-        if relation == "le":
-            return lambda regs: regs.get(ua, 0) <= regs.get(ub, 0)
-        if relation == "gt":
-            return lambda regs: regs.get(ua, 0) > regs.get(ub, 0)
-        return lambda regs: regs.get(ua, 0) >= regs.get(ub, 0)
-    if ka == "reg" and kb == "const":
-        ua, cb = va, vb
-        if relation == "eq":
-            return lambda regs: regs.get(ua, 0) == cb
-        if relation == "ne":
-            return lambda regs: regs.get(ua, 0) != cb
-        if relation == "lt":
-            return lambda regs: regs.get(ua, 0) < cb
-        if relation == "le":
-            return lambda regs: regs.get(ua, 0) <= cb
-        if relation == "gt":
-            return lambda regs: regs.get(ua, 0) > cb
-        return lambda regs: regs.get(ua, 0) >= cb
-    if ka == "const" and kb == "reg":
-        ca, ub = va, vb
-        if relation == "eq":
-            return lambda regs: ca == regs.get(ub, 0)
-        if relation == "ne":
-            return lambda regs: ca != regs.get(ub, 0)
-        if relation == "lt":
-            return lambda regs: ca < regs.get(ub, 0)
-        if relation == "le":
-            return lambda regs: ca <= regs.get(ub, 0)
-        if relation == "gt":
-            return lambda regs: ca > regs.get(ub, 0)
-        return lambda regs: ca >= regs.get(ub, 0)
-    a_acc = engine.acc(instr.a)
-    b_acc = engine.acc(instr.b)
-    if relation == "eq":
-        return lambda regs: a_acc(regs) == b_acc(regs)
-    if relation == "ne":
-        return lambda regs: a_acc(regs) != b_acc(regs)
-    if relation == "lt":
-        return lambda regs: a_acc(regs) < b_acc(regs)
-    if relation == "le":
-        return lambda regs: a_acc(regs) <= b_acc(regs)
-    if relation == "gt":
-        return lambda regs: a_acc(regs) > b_acc(regs)
-    return lambda regs: a_acc(regs) >= b_acc(regs)
+        umask = (1 << (_operand_type(instr.a, instr.b).size * 8)) - 1
+        return _value(instr, "1 if (int($a) & umask) %s (int($b) & umask) "
+                      "else 0" % _UNSIGNED_PREDS[pred], _COST_CMP, umask=umask)
+    if pred in _PLAIN_PREDS:
+        return _value(instr, "1 if $a %s $b else 0" % _PLAIN_PREDS[pred],
+                      _COST_CMP)
+    return _trap(f"bad cmp {pred}")
 
 
-def _build_cmp(instr, index, offsets, block):
-    uid = instr.dst.uid
-    nxt = index + 1
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        test = _cmp_evaluator(instr, engine)
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            regs[uid] = 1 if test(regs) else 0
-            st.cost += _COST_CMP
-            return nxt
-
-        return op
-
-    return make
+def _fdiv(a, b):
+    if b != 0.0:
+        return a / b
+    return float("inf") if a > 0 else float("-inf") if a < 0 else float("nan")
 
 
-def _gep_evaluator(instr, engine):
-    """Build ``fn(regs) -> address`` for a gep (shared by the standalone
-    closure and the gep+load / gep+store superinstructions)."""
-    ka, va = engine.spec(instr.base)
-    kb, vb = engine.spec(instr.offset)
-    if ka == "reg" and kb == "reg":
-        ua, ub = va, vb
-        return lambda regs: (int(regs.get(ua, 0)) + int(regs.get(ub, 0))) & _M64
-    if ka == "reg" and kb == "const":
-        ua, cb = va, int(vb)
-        return lambda regs: (int(regs.get(ua, 0)) + cb) & _M64
-    if ka == "const" and kb == "reg":
-        ca, ub = int(va), vb
-        return lambda regs: (ca + int(regs.get(ub, 0))) & _M64
-    if ka == "const" and kb == "const":
-        folded = (int(va) + int(vb)) & _M64
-        return lambda regs: folded
-    base_acc = engine.acc(instr.base)
-    off_acc = engine.acc(instr.offset)
-    return lambda regs: (int(base_acc(regs)) + int(off_acc(regs))) & _M64
+_SHIFTS = {"lshr": "((int($a) & mask) >> ($b & 63)) & mask",
+           "ashr": "(int($a) >> ($b & 63)) & mask"}
+_FLOAT_OPS = {"fadd": "$a + $b", "fsub": "$a - $b", "fmul": "$a * $b",
+              "fdiv": "_fdiv($a, $b)"}
+_DIVIDES = {"sdiv": "q", "srem": "a - q * b", "udiv": "a // b", "urem": "a % b"}
 
 
-def _build_gep(instr, index, offsets, block):
-    uid = instr.dst.uid
-    nxt = index + 1
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        ka, va = engine.spec(instr.base)
-        kb, vb = engine.spec(instr.offset)
-        no_floats = not (_operand_may_be_float(instr.base)
-                         or _operand_may_be_float(instr.offset))
-
-        if ka == "reg" and kb == "reg" and no_floats:
-            ua, ub = va, vb
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                try:
-                    regs[uid] = (regs[ua] + regs[ub]) & _M64
-                except KeyError:
-                    regs[uid] = (regs.get(ua, 0) + regs.get(ub, 0)) & _M64
-                st.cost += _COST_GEP
-                return nxt
-
-        elif ka == "reg" and kb == "const" and no_floats:
-            ua, cb = va, int(vb)
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                try:
-                    regs[uid] = (regs[ua] + cb) & _M64
-                except KeyError:
-                    regs[uid] = (regs.get(ua, 0) + cb) & _M64
-                st.cost += _COST_GEP
-                return nxt
-
-        else:
-            addr_of = _gep_evaluator(instr, engine)
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                regs[uid] = addr_of(regs)
-                st.cost += _COST_GEP
-                return nxt
-
-        return op
-
-    return make
-
-
-def _build_cast(instr, index, offsets, block):
-    from ..ir.irtypes import I64
-
-    kind = instr.kind
-    uid = instr.dst.uid
+def _bind_binop(engine, function, instr, *_):
+    op = instr.op
+    cost = OP_COSTS.get("binop." + op)
     dst_type = instr.dst.type
-    bits = dst_type.size * 8
-    mask = (1 << bits) - 1
-    span = 1 << bits
-    sbit = 1 << (bits - 1)
-    wrap_signed = dst_type.kind != "ptr"
+    if op in _INT_FNS:
+        return _value(instr, "fn(int($a), int($b)) & mask", cost, dst_type,
+                      fn=_INT_FNS[op])
+    if op in _SHIFTS:
+        return _value(instr, _SHIFTS[op], cost, dst_type)
+    if op in _FLOAT_OPS:
+        return _value(instr, _FLOAT_OPS[op], cost)
+    if op in _DIVIDES:
+        _, flags, values = _value(instr, "", cost, dst_type)
+        return "divide", {"expr": _DIVIDES[op], "unsigned": op[0] == "u",
+                          "wrap": flags["wrap"]}, values
+    return _trap(f"bad binop {op}")
+
+
+_CASTS = dict.fromkeys(("trunc", "sext", "bitcast", "ptrtoint", "inttoptr",
+                        "fptosi", "fptoui"), "int($src) & mask")
+_CASTS.update(zext="int($src) & src_mask & mask")
+_TO_FLOAT = {"sitofp": "float(int($src))",
+             "uitofp": "float(int($src) & src_mask)"}
+
+
+def _bind_cast(engine, function, instr, *_):
+    kind = instr.kind
     src_type = (instr.src.type
                 if isinstance(instr.src, (Register, Const)) else I64)
     src_mask = (1 << (src_type.size * 8)) - 1
-    nxt = index + 1
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        src_acc = engine.acc(instr.src)
-
-        if kind in ("trunc", "sext", "bitcast", "ptrtoint", "inttoptr"):
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                value = int(src_acc(regs)) & mask
-                if wrap_signed and value >= sbit:
-                    value -= span
-                regs[uid] = value
-                st.cost += _COST_CAST
-                return nxt
-
-        elif kind == "zext":
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                value = (int(src_acc(regs)) & src_mask) & mask
-                if wrap_signed and value >= sbit:
-                    value -= span
-                regs[uid] = value
-                st.cost += _COST_CAST
-                return nxt
-
-        elif kind == "sitofp":
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                regs[uid] = float(int(src_acc(regs)))
-                st.cost += _COST_CAST
-                return nxt
-
-        elif kind == "uitofp":
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                regs[uid] = float(int(src_acc(regs)) & src_mask)
-                st.cost += _COST_CAST
-                return nxt
-
-        elif kind in ("fptosi", "fptoui"):
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                value = int(src_acc(regs)) & mask
-                if wrap_signed and value >= sbit:
-                    value -= span
-                regs[uid] = value
-                st.cost += _COST_CAST
-                return nxt
-
-        else:
-
-            def op(frame, regs):
-                raise Trap(TrapKind.UNREACHABLE, f"bad cast {kind}")
-
-        return op
-
-    return make
+    if kind in _CASTS:
+        return _value(instr, _CASTS[kind], _COST_CAST, instr.dst.type,
+                      src_mask=src_mask)
+    if kind in _TO_FLOAT:
+        return _value(instr, _TO_FLOAT[kind], _COST_CAST, src_mask=src_mask)
+    return _trap(f"bad cast {kind}")
 
 
-def _build_mov(instr, index, offsets, block):
-    uid = instr.dst.uid
-    nxt = index + 1
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        ks, vs = engine.spec(instr.src)
-
-        if ks == "reg":
-            su = vs
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                try:
-                    regs[uid] = regs[su]
-                except KeyError:
-                    regs[uid] = 0
-                return nxt  # mov costs 0 units
-
-        elif ks == "const":
-            cv = vs
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                regs[uid] = cv
-                return nxt
-
-        else:
-            src_acc = engine.acc(instr.src)
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                regs[uid] = src_acc(regs)
-                return nxt
-
-        return op
-
-    return make
+def _bind_load(engine, function, instr, *_):
+    irtype = instr.type
+    memory = engine.memory
+    size = irtype.size
+    if irtype.is_float:
+        codec = _F64
+    else:
+        codec = _SCALAR_CODECS.get((8, False) if irtype.is_ptr else (size, True))
+    values = {"dst": instr.dst.uid, "size": size, "observers": engine.observers}
+    if codec is not None:
+        values.update(unpack=codec.unpack_from, segment_for=memory._segment_for,
+                      cached=memory.heap)
+    else:
+        values["read"] = lambda addr: memory.read_int(addr, size, signed=True)
+    return "load", {"obs": bool(engine.observers), "codec": codec is not None,
+                    "ptrval": instr.is_pointer_value}, values
 
 
-def _build_memcopy(instr, index, offsets, block):
+def _bind_store(engine, function, instr, *_):
+    irtype = instr.type
+    memory = engine.memory
+    size = irtype.size
+    codec = _F64 if irtype.is_float else _SCALAR_CODECS.get((size, False))
+    runtime = engine.machine.sb_runtime
+    ptrval = instr.is_pointer_value
+    pstore = not ptrval and runtime is not None and runtime.observes_stores
+    values = {"size": size, "vmask": (1 << (size * 8)) - 1,
+              "observers": engine.observers,
+              "on_pstore": runtime.on_program_store if pstore else None}
+    if codec is not None:
+        values.update(pack_into=codec.pack_into,
+                      segment_for=memory._segment_for, cached=memory.heap)
+    else:
+        values["write"] = lambda addr, value: memory.write_int(addr, value, size)
+    return "store", {"float": irtype.is_float, "obs": bool(engine.observers),
+                     "codec": codec is not None, "ptrval": ptrval,
+                     "pstore": pstore}, values
+
+
+def _bind_memcopy(engine, function, instr, *_):
     size = instr.size
-    ctype = instr.ctype
+    runtime = engine.machine.sb_runtime
     cost = (OP_COSTS["memcopy.base"]
             + OP_COSTS["memcopy.per_8_bytes"] * max(size // 8, 1))
-    nxt = index + 1
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        observers = engine.observers
-        dst_acc = engine.acc(instr.dst_addr)
-        src_acc = engine.acc(instr.src_addr)
-        memory = engine.memory
-        runtime = engine.machine.sb_runtime
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            dst = dst_acc(regs)
-            src = src_acc(regs)
-            if observers:
-                for observer in observers:
-                    observer.on_load(src, size)
-                    observer.on_store(dst, size)
-            memory.write(dst, memory.read(src, size))
-            if runtime is not None:
-                if runtime.observes_stores:
-                    runtime.on_program_store(dst, size)
-                runtime.copy_metadata(src, dst, size, ctype)
-            st.cost += cost
-            st.memory_ops += 2
-            return nxt
-
-        return op
-
-    return make
+    return "memcopy", {
+        "obs": bool(engine.observers), "sb": runtime is not None,
+        "pstore": runtime is not None and runtime.observes_stores,
+    }, {"size": size, "ctype": instr.ctype, "cost": cost,
+        "memory": engine.memory, "runtime": runtime,
+        "observers": engine.observers}
 
 
-# -- control flow -----------------------------------------------------------
-
-
-def _build_br(instr, index, offsets, block):
+def _bind_br(engine, function, instr, offsets, block):
     # In-function branches resolve to flat offsets at compile time and
     # never leave the inner dispatch loop.
-    target = offsets[instr.label]
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            st.cost += _COST_BR
-            return target
-
-        return op
-
-    return make
+    return "br", {}, {"target": offsets[instr.label]}
 
 
-def _build_cbr(instr, index, offsets, block):
-    target_true = offsets[instr.true_label]
-    target_false = offsets[instr.false_label]
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        kc, vc = engine.spec(instr.cond)
-
-        if kc == "reg":
-            uc = vc
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                try:
-                    cond = regs[uc]
-                except KeyError:
-                    cond = 0
-                st.cost += _COST_CBR
-                return target_true if cond else target_false
-
-        else:
-            cond_acc = engine.acc(instr.cond)
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                st.cost += _COST_CBR
-                return target_true if cond_acc(regs) else target_false
-
-        return op
-
-    return make
+def _bind_cbr(engine, function, instr, offsets, block):
+    return "cbr", {}, {"if_true": offsets[instr.true_label],
+                       "if_false": offsets[instr.false_label]}
 
 
-def _build_unreachable(instr, index, offsets, block):
-    label = block.label
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        fname = function.name
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            raise Trap(TrapKind.UNREACHABLE, f"in {fname}/{label}")
-
-        return op
-
-    return make
+def _bind_unreachable(engine, function, instr, offsets, block):
+    return _trap(f"in {function.name}/{block.label}")
 
 
-def _build_ret(instr, index, offsets, block):
+def _bind_interp(engine, function, instr, *_):
+    opcode = instr.opcode
+    return "interp", {}, {
+        "machine": engine.machine, "handler": INTERP_HANDLERS[opcode],
+        "instr": instr,
+        # The handler transferred control (interp contract), which this
+        # op cannot mirror — failing loudly beats silently executing
+        # the wrong successor.
+        "msg": f"opcode {opcode!r} transfers control, which the compiled "
+               f"engine's interpreter-handler adapter cannot follow"}
+
+
+def _bind_sb_check(engine, function, instr, *_):
+    fnptr = instr.is_fnptr_check
+    runtime = engine.machine.sb_runtime
+    values = {"access_kind": instr.access_kind,
+              "check_cost": _COST_FNPTR if fnptr else OP_COSTS[
+                  getattr(runtime, "check_cost_key", "sb.check")]}
+    return "sb_check", {"profile": _profiled(engine, instr, "sb_check", values),
+                        "fnptr": fnptr}, values
+
+
+def _bind_sb_temporal_check(engine, function, instr, *_):
+    runtime = engine.machine.sb_runtime
+    # The lock table dict is bound directly: the liveness predicate
+    # inlines to one dict probe plus a compare.
+    values = {"access_kind": instr.access_kind,
+              "tcost": OP_COSTS["sb.temporal.check"],
+              "slots": runtime.lockspace.slots if runtime.lockspace else {}}
+    return "sb_temporal_check", {
+        "profile": _profiled(engine, instr, "sb_temporal_check", values)}, values
+
+
+def _bind_sb_meta_load(engine, function, instr, *_):
+    temporal = instr.dst_key is not None
+    values = {"machine": engine.machine, "d_base": instr.dst_base.uid,
+              "d_bound": instr.dst_bound.uid}
+    if temporal:
+        values.update(d_key=instr.dst_key.uid, d_lock=instr.dst_lock.uid)
+    return "sb_meta_load", {
+        "profile": _profiled(engine, instr, "sb_meta_load", values),
+        "temporal": temporal}, values
+
+
+def _bind_sb_meta_store(engine, function, instr, *_):
+    return "sb_meta_store", {"temporal": instr.key is not None}, {
+        "machine": engine.machine}
+
+
+def _bind_sb_meta_clear(engine, function, instr, *_):
+    return "sb_meta_clear", {}, {"machine": engine.machine}
+
+
+_BINDERS = {
+    "alloca": _bind_alloca,
+    "mov": _bind_mov,
+    "gep": _bind_gep,
+    "cmp": _bind_cmp,
+    "binop": _bind_binop,
+    "cast": _bind_cast,
+    "load": _bind_load,
+    "store": _bind_store,
+    "memcopy": _bind_memcopy,
+    "br": _bind_br,
+    "cbr": _bind_cbr,
+    "unreachable": _bind_unreachable,
+    "sb_check": _bind_sb_check,
+    "sb_temporal_check": _bind_sb_temporal_check,
+    "sb_meta_load": _bind_sb_meta_load,
+    "sb_meta_store": _bind_sb_meta_store,
+    "sb_meta_clear": _bind_sb_meta_clear,
+}
+
+#: Core straight-line opcodes.
+_INTERPRETED = frozenset(_BINDERS) - {"br", "cbr", "unreachable"}
+
+
+# ---------------------------------------------------------------------------
+# Hand-written: ret and call (frame transfer).
+# ---------------------------------------------------------------------------
+
+
+def _build_ret(instr):
     value_operand = instr.value
     sb_meta = getattr(instr, "sb_meta", None)
 
@@ -1402,13 +988,7 @@ def _build_ret(instr, index, offsets, block):
         unpack_u64 = _SCALAR_CODECS[(8, False)].unpack_from
         addr_to_function = machine.addr_to_function
         frames = machine.frames
-        if value_operand is None:
-            value_acc = None
-        elif isinstance(value_operand, Register):
-            vu = value_operand.uid
-            value_acc = lambda regs: regs.get(vu, 0)
-        else:
-            value_acc = engine.acc(value_operand)
+        value_acc = None if value_operand is None else engine.acc(value_operand)
         meta_accs = None
         if sb_meta is not None:
             meta_accs = tuple(engine.acc(v) for v in sb_meta)
@@ -1479,9 +1059,6 @@ def _build_ret(instr, index, offsets, block):
     return make
 
 
-# -- calls ------------------------------------------------------------------
-
-
 def _needs_signature_check(instr, function):
     """Whether the dynamic signature check (paper Section 5.2) applies
     to this call edge.  The check itself is delegated to
@@ -1491,27 +1068,68 @@ def _needs_signature_check(instr, function):
             and getattr(function, "sb_signature", None) is not None)
 
 
-def _build_call(instr, index, offsets, block):
+def _store_result(regs, dst, dst_meta, result):
+    """Write a builtin's result, and any metadata it returns with a
+    pointer, to the caller's registers (the interpreter's libc path)."""
+    if isinstance(result, tuple):
+        regs[dst.uid] = result[0]
+        if dst_meta is not None:
+            rest = result[1:]
+            for i, reg in enumerate(dst_meta):
+                regs[reg.uid] = rest[i] if i < len(rest) else 0
+    else:
+        regs[dst.uid] = result if result is not None else 0
+        if dst_meta is not None:
+            for reg in dst_meta:
+                regs[reg.uid] = 0
+
+
+def _build_call(instr, index, cur_block):
+    """``cur_block`` and ``index``: setjmp records the call site."""
     callee = instr.callee
     dst = instr.dst
     dst_meta = getattr(instr, "sb_dst_meta", None)
     call_cost = _COST_CALL + _COST_CALL_ARG * len(instr.args)
     nxt = index + 1
-    cur_block = block  # setjmp records (block, flat index) at call sites
 
     def make(engine, function):
         machine = engine.machine
         st = engine.stats
         limit = engine.limit
-        frames = machine.frames
         arg_accs = [engine.acc(a) for a in instr.args]
         site = machine._site_id(machine._call_site_key(function, instr))
         push_frame = machine._push_frame
         split_meta = machine._split_call_metadata
+        check_signature = machine._check_call_signature
         has_sb = machine.sb_runtime is not None
         meta_arity = machine.sb_runtime.meta_arity if has_sb else 2
         libc_call = machine.libc.call
         functions = machine.module.functions
+
+        def enter(frame, target, args):
+            """The general frame push (metadata, observers, varargs)."""
+            frame.index = nxt  # resume after the call on return
+            arg_metas = None
+            if has_sb:
+                args, arg_metas = split_meta(args, instr, meta_arity)
+            new_frame = push_frame(target, args, site, arg_metas)
+            new_frame.dst_reg = dst
+            new_frame.dst_meta = dst_meta
+            new_frame.caller_site = frame
+            new_frame.block = target.entry
+            new_frame.index = 0
+            return -1
+
+        def call_builtin(frame, regs, name, args):
+            frame.block = cur_block
+            frame.index = index  # setjmp records the call site
+            machine._control_transferred = False
+            result = libc_call(name, args, instr)
+            if machine._control_transferred:
+                return -1
+            if dst is not None:
+                _store_result(regs, dst, dst_meta, result)
+            return nxt
 
         target_name = callee
         if target_name is not None and has_sb and f"_sb_{target_name}" in functions:
@@ -1521,95 +1139,14 @@ def _build_call(instr, index, offsets, block):
             # Direct call to a module function: everything about the
             # transfer is decidable now.
             target = functions[target_name]
-            entry_block = target.entry
             has_sig = _needs_signature_check(instr, target)
-            check_signature = machine._check_call_signature
 
             if (not has_sig and not has_sb and not engine.observers
                     and not target.varargs
                     and not getattr(target, "sb_extra_params", [])
                     and len(instr.args) == len(target.params)):
-                # Fast transfer: frame push fully specialized — layout
-                # constants, parameter registers and the saved-FP/RA
-                # writes are all pre-bound; no metadata, no observers.
-                layout, allocas, fp_off, ret_off, va_off = _frame_layout(target)
-                frame_size = va_off
-                param_uids = [p.register.uid for p in target.params]
-                stack_seg = engine.memory.stack
-                stack_data = stack_seg.data
-                stack_base = stack_seg.base
-                pack_u64 = _SCALAR_CODECS[(8, False)].pack_into
-                target_fname = target.name
-                new_frame_of = Frame.__new__
-
-                # Parameter binding specialized by arity: small argument
-                # lists become a dict display, larger ones a zip loop.
-                nparams = len(param_uids)
-                if nparams == 0:
-                    def bind_args(regs):
-                        return {}
-                elif nparams == 1:
-                    u0, a0 = param_uids[0], arg_accs[0]
-
-                    def bind_args(regs):
-                        return {u0: a0(regs)}
-                elif nparams == 2:
-                    (u0, u1), (a0, a1) = param_uids, arg_accs[:2]
-
-                    def bind_args(regs):
-                        return {u0: a0(regs), u1: a1(regs)}
-                elif nparams == 3:
-                    (u0, u1, u2), (a0, a1, a2) = param_uids, arg_accs[:3]
-
-                    def bind_args(regs):
-                        return {u0: a0(regs), u1: a1(regs), u2: a2(regs)}
-                else:
-                    def bind_args(regs):
-                        return {uid: acc(regs)
-                                for uid, acc in zip(param_uids, arg_accs)}
-
-                def op(frame, regs):
-                    n = st.instructions + 1
-                    st.instructions = n
-                    if n > limit:
-                        raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                    st.calls += 1
-                    st.cost += call_cost
-                    new_regs = bind_args(regs)
-                    base = machine.sp - frame_size
-                    if base < stack_base:
-                        raise Trap(TrapKind.STACK_OVERFLOW, target_fname)
-                    new_frame = new_frame_of(Frame)
-                    new_frame.function = target
-                    new_frame.regs = new_regs
-                    new_frame.base = base
-                    new_frame.size = frame_size
-                    fp = base + fp_off
-                    new_frame.fp = fp
-                    new_frame.expected_ret = site
-                    new_frame.alloca_ctypes = allocas
-                    new_frame.va_spill = 0
-                    new_frame.va_bytes = 0
-                    new_frame.va_ptr_count = 0
-                    new_frame.va_metas = _EMPTY_VA_METAS
-                    # Materialize saved FP and return address in
-                    # simulated memory (the attackable control data);
-                    # [fp, fp+16) is inside the stack segment by the
-                    # overflow check above, so encode straight into it.
-                    off = fp - stack_base
-                    pack_u64(stack_data, off, frame.fp & _M64)
-                    pack_u64(stack_data, off + 8, site)
-                    machine.sp = base
-                    frames.append(new_frame)
-                    frame.index = nxt
-                    new_frame.dst_reg = dst
-                    new_frame.dst_meta = dst_meta
-                    new_frame.caller_site = frame
-                    new_frame.block = entry_block
-                    new_frame.index = 0
-                    return -1
-
-                return op
+                return _fast_call(engine, target, arg_accs, site, nxt, dst,
+                                  dst_meta, call_cost)
 
             def op(frame, regs):
                 n = st.instructions + 1
@@ -1621,17 +1158,7 @@ def _build_call(instr, index, offsets, block):
                 args = [acc(regs) for acc in arg_accs]
                 if has_sig:
                     check_signature(instr, target)
-                frame.index = nxt  # resume after the call on return
-                arg_metas = None
-                if has_sb:
-                    args, arg_metas = split_meta(args, instr, meta_arity)
-                new_frame = push_frame(target, args, site, arg_metas)
-                new_frame.dst_reg = dst
-                new_frame.dst_meta = dst_meta
-                new_frame.caller_site = frame
-                new_frame.block = entry_block
-                new_frame.index = 0
-                return -1
+                return enter(frame, target, args)
 
             return op
 
@@ -1645,26 +1172,8 @@ def _build_call(instr, index, offsets, block):
                     raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
                 st.calls += 1
                 st.cost += call_cost
-                args = [acc(regs) for acc in arg_accs]
-                frame.block = cur_block
-                frame.index = index  # setjmp records the call site
-                machine._control_transferred = False
-                result = libc_call(target_name, args, instr)
-                if machine._control_transferred:
-                    return -1
-                if dst is not None:
-                    if isinstance(result, tuple):
-                        regs[dst.uid] = result[0]
-                        if dst_meta is not None:
-                            rest = result[1:]
-                            for i, reg in enumerate(dst_meta):
-                                regs[reg.uid] = rest[i] if i < len(rest) else 0
-                    else:
-                        regs[dst.uid] = result if result is not None else 0
-                        if dst_meta is not None:
-                            for reg in dst_meta:
-                                regs[reg.uid] = 0
-                return nxt
+                return call_builtin(frame, regs, target_name,
+                                    [acc(regs) for acc in arg_accs])
 
             return op
 
@@ -1672,7 +1181,6 @@ def _build_call(instr, index, offsets, block):
         # signature checking stay dynamic (cold path).
         callee_acc = engine.acc(instr.callee_reg)
         addr_to_function = machine.addr_to_function
-        check_signature = machine._check_call_signature
 
         def op(frame, regs):
             n = st.instructions + 1
@@ -1692,948 +1200,97 @@ def _build_call(instr, index, offsets, block):
             if name in functions:
                 target = functions[name]
                 check_signature(instr, target)
-                frame.index = nxt
-                arg_metas = None
-                if has_sb:
-                    args, arg_metas = split_meta(args, instr, meta_arity)
-                new_frame = push_frame(target, args, site, arg_metas)
-                new_frame.dst_reg = dst
-                new_frame.dst_meta = dst_meta
-                new_frame.caller_site = frame
-                new_frame.block = target.entry
-                new_frame.index = 0
-                return -1
-            frame.block = cur_block
-            frame.index = index
-            machine._control_transferred = False
-            result = libc_call(name, args, instr)
-            if machine._control_transferred:
-                return -1
-            if dst is not None:
-                if isinstance(result, tuple):
-                    regs[dst.uid] = result[0]
-                    if dst_meta is not None:
-                        rest = result[1:]
-                        for i, reg in enumerate(dst_meta):
-                            regs[reg.uid] = rest[i] if i < len(rest) else 0
-                else:
-                    regs[dst.uid] = result if result is not None else 0
-                    if dst_meta is not None:
-                        for reg in dst_meta:
-                            regs[reg.uid] = 0
-            return nxt
+                return enter(frame, target, args)
+            return call_builtin(frame, regs, name, args)
 
         return op
 
     return make
 
 
-# -- SoftBound runtime instructions -----------------------------------------
-
-
-def _build_sb_check(instr, index, offsets, block):
-    is_fnptr = instr.is_fnptr_check
-    access_kind = instr.access_kind
-    nxt = index + 1
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        ptr_acc = engine.acc(instr.ptr)
-        base_acc = engine.acc(instr.base)
-        bound_acc = engine.acc(instr.bound)
-        size_acc = engine.acc(instr.size)
-        runtime = engine.machine.sb_runtime
-        check_cost = OP_COSTS[getattr(runtime, "check_cost_key", "sb.check")]
-        # Profiling variants are specialized in only when a site profile
-        # is attached (the detached closures below are the unprofiled
-        # originals, byte for byte).  Recording sits after the budget
-        # check and before the trap test — the same program point the
-        # interpreter records at — so per-site counts match across
-        # engines even on trapping and limit-capped runs.
-        profile = engine.machine.site_profile
-        if profile is not None:
-            counts = profile.counts
-            pkey = ("sb_check",) + tuple(site_of(instr))
-
-        if is_fnptr:
-            if profile is not None:
-
-                def op(frame, regs):
-                    n = st.instructions + 1
-                    st.instructions = n
-                    if n > limit:
-                        raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                    counts[pkey] = counts.get(pkey, 0) + 1
-                    ptr = ptr_acc(regs)
-                    base = base_acc(regs)
-                    bound = bound_acc(regs)
-                    size_acc(regs)
-                    st.checks += 1
-                    st.cost += _COST_FNPTR
-                    if not (ptr == base == bound) or ptr == 0:
-                        raise Trap(TrapKind.FUNCTION_POINTER_VIOLATION,
-                                   "indirect call through non-function pointer",
-                                   address=ptr, source="softbound")
-                    return nxt
-
-                return op
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                ptr = ptr_acc(regs)
-                base = base_acc(regs)
-                bound = bound_acc(regs)
-                size_acc(regs)
-                st.checks += 1
-                st.cost += _COST_FNPTR
-                if not (ptr == base == bound) or ptr == 0:
-                    raise Trap(TrapKind.FUNCTION_POINTER_VIOLATION,
-                               "indirect call through non-function pointer",
-                               address=ptr, source="softbound")
-                return nxt
-
-        elif profile is not None:
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                counts[pkey] = counts.get(pkey, 0) + 1
-                ptr = ptr_acc(regs)
-                base = base_acc(regs)
-                bound = bound_acc(regs)
-                size = size_acc(regs)
-                st.checks += 1
-                st.cost += check_cost
-                if ptr < base or ptr + size > bound:
-                    raise Trap(
-                        TrapKind.SPATIAL_VIOLATION,
-                        f"{access_kind} of {size} bytes outside "
-                        f"[0x{base:x}, 0x{bound:x})",
-                        address=ptr,
-                        source="softbound",
-                    )
-                return nxt
-
-        else:
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                ptr = ptr_acc(regs)
-                base = base_acc(regs)
-                bound = bound_acc(regs)
-                size = size_acc(regs)
-                st.checks += 1
-                st.cost += check_cost
-                if ptr < base or ptr + size > bound:
-                    raise Trap(
-                        TrapKind.SPATIAL_VIOLATION,
-                        f"{access_kind} of {size} bytes outside "
-                        f"[0x{base:x}, 0x{bound:x})",
-                        address=ptr,
-                        source="softbound",
-                    )
-                return nxt
-
-        return op
-
-    return make
-
-
-def _build_sb_meta_load(instr, index, offsets, block):
-    base_uid = instr.dst_base.uid
-    bound_uid = instr.dst_bound.uid
-    temporal = instr.dst_key is not None
-    key_uid = instr.dst_key.uid if temporal else None
-    lock_uid = instr.dst_lock.uid if temporal else None
-    nxt = index + 1
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        addr_acc = engine.acc(instr.addr)
-        machine = engine.machine
-        profile = machine.site_profile
-        if profile is not None:
-            counts = profile.counts
-            pkey = ("sb_meta_load",) + tuple(site_of(instr))
-
-        if temporal:
-            if profile is not None:
-
-                def op(frame, regs):
-                    n = st.instructions + 1
-                    st.instructions = n
-                    if n > limit:
-                        raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                    counts[pkey] = counts.get(pkey, 0) + 1
-                    addr = addr_acc(regs)
-                    facility = machine.sb_runtime.facility
-                    base, bound = facility.load(addr, st)
-                    regs[base_uid] = base
-                    regs[bound_uid] = bound
-                    key, lock = facility.load_temporal(addr, st)
-                    regs[key_uid] = key
-                    regs[lock_uid] = lock
-                    st.metadata_loads += 1
-                    return nxt
-
-                return op
-
-            # Widened entry: both halves of the slot's metadata in one
-            # dispatch (the facility charges each half's cost).
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                addr = addr_acc(regs)
-                facility = machine.sb_runtime.facility
-                base, bound = facility.load(addr, st)
-                regs[base_uid] = base
-                regs[bound_uid] = bound
-                key, lock = facility.load_temporal(addr, st)
-                regs[key_uid] = key
-                regs[lock_uid] = lock
-                st.metadata_loads += 1
-                return nxt
-
-            return op
-
-        if profile is not None:
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                counts[pkey] = counts.get(pkey, 0) + 1
-                base, bound = machine.sb_runtime.facility.load(addr_acc(regs), st)
-                regs[base_uid] = base
-                regs[bound_uid] = bound
-                st.metadata_loads += 1
-                return nxt
-
-            return op
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            base, bound = machine.sb_runtime.facility.load(addr_acc(regs), st)
-            regs[base_uid] = base
-            regs[bound_uid] = bound
-            st.metadata_loads += 1
-            return nxt
-
-        return op
-
-    return make
-
-
-def _build_sb_meta_store(instr, index, offsets, block):
-    temporal = instr.key is not None
-    nxt = index + 1
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        addr_acc = engine.acc(instr.addr)
-        base_acc = engine.acc(instr.base)
-        bound_acc = engine.acc(instr.bound)
-        key_acc = engine.acc(instr.key) if temporal else None
-        lock_acc = engine.acc(instr.lock) if temporal else None
-        machine = engine.machine
-
-        if temporal:
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                addr = addr_acc(regs)
-                facility = machine.sb_runtime.facility
-                facility.store(addr, base_acc(regs), bound_acc(regs), st)
-                facility.store_temporal(addr, key_acc(regs), lock_acc(regs), st)
-                st.metadata_stores += 1
-                return nxt
-
-            return op
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            machine.sb_runtime.facility.store(
-                addr_acc(regs), base_acc(regs), bound_acc(regs), st)
-            st.metadata_stores += 1
-            return nxt
-
-        return op
-
-    return make
-
-
-def _build_sb_temporal_check(instr, index, offsets, block):
-    access_kind = instr.access_kind
-    nxt = index + 1
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        ptr_acc = engine.acc(instr.ptr)
-        key_acc = engine.acc(instr.key)
-        lock_acc = engine.acc(instr.lock)
-        # The lock table dict is bound directly: the liveness predicate
-        # inlines to one dict probe plus a compare.
-        slots = engine.machine.sb_runtime.lockspace.slots
-        tcost = OP_COSTS["sb.temporal.check"]
-        profile = engine.machine.site_profile
-
-        if profile is not None:
-            counts = profile.counts
-            pkey = ("sb_temporal_check",) + tuple(site_of(instr))
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                counts[pkey] = counts.get(pkey, 0) + 1
-                key = key_acc(regs)
-                st.temporal_checks += 1
-                st.cost += tcost
-                if key == 0 or slots.get(lock_acc(regs)) != key:
-                    from .errors import temporal_violation
-
-                    raise temporal_violation(access_kind, ptr_acc(regs), key,
-                                             lock_acc(regs))
-                return nxt
-
-            return op
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            key = key_acc(regs)
-            st.temporal_checks += 1
-            st.cost += tcost
-            if key == 0 or slots.get(lock_acc(regs)) != key:
-                from .errors import temporal_violation
-
-                raise temporal_violation(access_kind, ptr_acc(regs), key,
-                                         lock_acc(regs))
-            return nxt
-
-        return op
-
-    return make
-
-
-def _build_sb_meta_clear(instr, index, offsets, block):
-    nxt = index + 1
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        addr_acc = engine.acc(instr.addr)
-        size_acc = engine.acc(instr.size)
-        machine = engine.machine
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            machine.sb_runtime.facility.clear_range(
-                addr_acc(regs), size_acc(regs), st)
-            return nxt
-
-        return op
-
-    return make
-
-
-# -- fused superinstructions -------------------------------------------------
-#
-# Each fused closure performs two logical instructions and returns
-# ``index + 2`` (or transfers control).  Statistics — instruction count,
-# budget checks, cost units — are charged at exactly the same points as
-# the unfused sequence, so traps raised mid-pair leave identical state.
-# The second instruction of a pair keeps its standalone closure at its
-# own index so call returns and ``longjmp`` can still resume there.
-
-
-def _try_fuse(first, second, index, offsets, block):
-    if (first.opcode == "cmp" and second.opcode == "cbr"
-            and isinstance(second.cond, Register)
-            and second.cond.uid == first.dst.uid):
-        return _build_cmp_cbr(first, second, index, offsets)
-    if (first.opcode == "gep" and second.opcode == "load"
-            and isinstance(second.addr, Register)
-            and second.addr.uid == first.dst.uid):
-        return _build_gep_load(first, second, index)
-    if (first.opcode == "gep" and second.opcode == "store"
-            and isinstance(second.addr, Register)
-            and second.addr.uid == first.dst.uid):
-        return _build_gep_store(first, second, index)
-    if (first.opcode == "sb_meta_load" and second.opcode == "sb_check"
-            and not second.is_fnptr_check
-            and isinstance(second.base, Register)
-            and isinstance(second.bound, Register)
-            and second.base.uid == first.dst_base.uid
-            and second.bound.uid == first.dst_bound.uid):
-        return _build_meta_load_check(first, second, index)
-    if (first.opcode == "gep" and second.opcode == "sb_check"
-            and not second.is_fnptr_check
-            and isinstance(second.ptr, Register)
-            and second.ptr.uid == first.dst.uid):
-        return _build_gep_check(first, second, index)
-    if (first.opcode == "sb_check" and second.opcode == "sb_temporal_check"
-            and not first.is_fnptr_check):
-        return _build_check_temporal_check(first, second, index)
-    return None
-
-
-def _build_cmp_cbr(cmp_instr, cbr_instr, index, offsets):
-    uid = cmp_instr.dst.uid
-    target_true = offsets[cbr_instr.true_label]
-    target_false = offsets[cbr_instr.false_label]
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        test = _cmp_evaluator(cmp_instr, engine)
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            result = test(regs)
-            regs[uid] = 1 if result else 0
-            st.cost += _COST_CMP
-            n += 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            st.cost += _COST_CBR
-            return target_true if result else target_false
-
-        return op
-
-    return make
-
-
-def _build_gep_load(gep_instr, load_instr, index):
-    gep_uid = gep_instr.dst.uid
-    load_uid = load_instr.dst.uid
-    irtype = load_instr.type
-    size = irtype.size
-    is_ptr_val = load_instr.is_pointer_value
-    nxt = index + 2
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        observers = engine.observers
-        addr_of = _gep_evaluator(gep_instr, engine)
-        codec = _load_codec(irtype)
-
-        if not observers and codec is not None:
-            unpack = codec.unpack_from
-            width = codec.size
-            segment_for = engine.memory._segment_for
-            cached = engine.memory.heap
-
-            def op(frame, regs):
-                nonlocal cached
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                addr = addr_of(regs)
-                regs[gep_uid] = addr
-                st.cost += _COST_GEP
-                n += 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                seg = cached
-                if addr < seg.base or addr + width > seg.end:
-                    seg = segment_for(addr, width)
-                    if seg is None:
-                        raise Trap(TrapKind.SEGFAULT,
-                                   f"read of {width} bytes", address=addr)
-                    cached = seg
-                regs[load_uid] = unpack(seg.data, addr - seg.base)[0]
-                st.cost += _COST_LOAD
-                st.memory_ops += 1
-                if is_ptr_val:
-                    st.pointer_memory_ops += 1
-                return nxt
-
-            return op
-
-        read = _make_loader(engine, irtype)
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            addr = addr_of(regs)
-            regs[gep_uid] = addr
-            st.cost += _COST_GEP
-            n += 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            if observers:
-                for observer in observers:
-                    observer.on_load(addr, size)
-            regs[load_uid] = read(addr)
-            st.cost += _COST_LOAD
-            st.memory_ops += 1
-            if is_ptr_val:
-                st.pointer_memory_ops += 1
-            return nxt
-
-        return op
-
-    return make
-
-
-def _build_gep_store(gep_instr, store_instr, index):
-    gep_uid = gep_instr.dst.uid
-    irtype = store_instr.type
-    size = irtype.size
-    is_float = irtype.is_float
-    is_ptr_val = store_instr.is_pointer_value
-    nxt = index + 2
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        observers = engine.observers
-        addr_of = _gep_evaluator(gep_instr, engine)
-        val_acc = engine.acc(store_instr.value)
-        memory = engine.memory
-        runtime = engine.machine.sb_runtime
-        on_pstore = None
-        if not is_ptr_val and runtime is not None and runtime.observes_stores:
-            on_pstore = runtime.on_program_store
-        codec = None if is_float else _SCALAR_CODECS.get((size, False))
-
-        if not observers and on_pstore is None and codec is not None:
-            pack_into = codec.pack_into
-            vmask = (1 << (size * 8)) - 1
-            segment_for = memory._segment_for
-            cached = memory.heap
-
-            def op(frame, regs):
-                nonlocal cached
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                addr = addr_of(regs)
-                regs[gep_uid] = addr
-                st.cost += _COST_GEP
-                n += 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                value = val_acc(regs)
-                seg = cached
-                if addr < seg.base or addr + size > seg.end:
-                    seg = segment_for(addr, size)
-                    if seg is None:
-                        raise Trap(TrapKind.SEGFAULT,
-                                   f"write of {size} bytes", address=addr)
-                    cached = seg
-                pack_into(seg.data, addr - seg.base, int(value) & vmask)
-                st.cost += _COST_STORE
-                st.memory_ops += 1
-                if is_ptr_val:
-                    st.pointer_memory_ops += 1
-                return nxt
-
-            return op
-
-        if is_float:
-            write = memory.f64_writer()
-        else:
-            try:
-                write = memory.scalar_writer(size)
-            except KeyError:
-                write = lambda addr, value: memory.write_int(addr, value, size)
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            addr = addr_of(regs)
-            regs[gep_uid] = addr
-            st.cost += _COST_GEP
-            n += 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            value = val_acc(regs)
-            if observers:
-                for observer in observers:
-                    observer.on_store(addr, size)
-            if is_float:
-                write(addr, value)
-            else:
-                write(addr, int(value))
-            st.cost += _COST_STORE
-            st.memory_ops += 1
-            if is_ptr_val:
-                st.pointer_memory_ops += 1
-            elif on_pstore is not None:
-                on_pstore(addr, size)
-            return nxt
-
-        return op
-
-    return make
-
-
-def _build_gep_check(gep_instr, check_instr, index):
-    """``gep`` + ``sb_check`` on the freshly computed address — the
-    dominant instrumented-loop shape (the check sits between the ``gep``
-    and the memory operation, so the gep+load/store fusions cannot
-    apply there).  One dispatch and one register-file read saved per
-    checked access."""
-    gep_uid = gep_instr.dst.uid
-    access_kind = check_instr.access_kind
-    nxt = index + 2
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        addr_of = _gep_evaluator(gep_instr, engine)
-        base_acc = engine.acc(check_instr.base)
-        bound_acc = engine.acc(check_instr.bound)
-        size_acc = engine.acc(check_instr.size)
-        runtime = engine.machine.sb_runtime
-        check_cost = OP_COSTS[getattr(runtime, "check_cost_key", "sb.check")]
-        profile = engine.machine.site_profile
-
-        if profile is not None:
-            counts = profile.counts
-            check_key = ("sb_check",) + tuple(site_of(check_instr))
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                addr = addr_of(regs)
-                regs[gep_uid] = addr
-                st.cost += _COST_GEP
-                n += 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                counts[check_key] = counts.get(check_key, 0) + 1
-                base = base_acc(regs)
-                bound = bound_acc(regs)
-                size = size_acc(regs)
-                st.checks += 1
-                st.cost += check_cost
-                if addr < base or addr + size > bound:
-                    raise Trap(
-                        TrapKind.SPATIAL_VIOLATION,
-                        f"{access_kind} of {size} bytes outside "
-                        f"[0x{base:x}, 0x{bound:x})",
-                        address=addr,
-                        source="softbound",
-                    )
-                return nxt
-
-            return op
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            addr = addr_of(regs)
-            regs[gep_uid] = addr
-            st.cost += _COST_GEP
-            n += 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            base = base_acc(regs)
-            bound = bound_acc(regs)
-            size = size_acc(regs)
-            st.checks += 1
-            st.cost += check_cost
-            if addr < base or addr + size > bound:
-                raise Trap(
-                    TrapKind.SPATIAL_VIOLATION,
-                    f"{access_kind} of {size} bytes outside "
-                    f"[0x{base:x}, 0x{bound:x})",
-                    address=addr,
-                    source="softbound",
-                )
-            return nxt
-
-        return op
-
-    return make
-
-
-def _build_meta_load_check(meta_instr, check_instr, index):
-    base_uid = meta_instr.dst_base.uid
-    bound_uid = meta_instr.dst_bound.uid
-    temporal = meta_instr.dst_key is not None
-    key_uid = meta_instr.dst_key.uid if temporal else None
-    lock_uid = meta_instr.dst_lock.uid if temporal else None
-    access_kind = check_instr.access_kind
-    nxt = index + 2
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        addr_acc = engine.acc(meta_instr.addr)
-        ptr_acc = engine.acc(check_instr.ptr)
-        size_acc = engine.acc(check_instr.size)
-        machine = engine.machine
-        runtime = machine.sb_runtime
-        check_cost = OP_COSTS[getattr(runtime, "check_cost_key", "sb.check")]
-        profile = machine.site_profile
-
-        if profile is not None:
-            counts = profile.counts
-            meta_key = ("sb_meta_load",) + tuple(site_of(meta_instr))
-            check_key = ("sb_check",) + tuple(site_of(check_instr))
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                counts[meta_key] = counts.get(meta_key, 0) + 1
-                facility = machine.sb_runtime.facility
-                addr = addr_acc(regs)
-                base, bound = facility.load(addr, st)
-                regs[base_uid] = base
-                regs[bound_uid] = bound
-                if temporal:
-                    tkey, tlock = facility.load_temporal(addr, st)
-                    regs[key_uid] = tkey
-                    regs[lock_uid] = tlock
-                st.metadata_loads += 1
-                n += 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                counts[check_key] = counts.get(check_key, 0) + 1
-                ptr = ptr_acc(regs)
-                size = size_acc(regs)
-                st.checks += 1
-                st.cost += check_cost
-                if ptr < base or ptr + size > bound:
-                    raise Trap(
-                        TrapKind.SPATIAL_VIOLATION,
-                        f"{access_kind} of {size} bytes outside "
-                        f"[0x{base:x}, 0x{bound:x})",
-                        address=ptr,
-                        source="softbound",
-                    )
-                return nxt
-
-            return op
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            facility = machine.sb_runtime.facility
-            addr = addr_acc(regs)
-            base, bound = facility.load(addr, st)
-            regs[base_uid] = base
-            regs[bound_uid] = bound
-            if temporal:
-                tkey, tlock = facility.load_temporal(addr, st)
-                regs[key_uid] = tkey
-                regs[lock_uid] = tlock
-            st.metadata_loads += 1
-            n += 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            ptr = ptr_acc(regs)
-            size = size_acc(regs)
-            st.checks += 1
-            st.cost += check_cost
-            if ptr < base or ptr + size > bound:
-                raise Trap(
-                    TrapKind.SPATIAL_VIOLATION,
-                    f"{access_kind} of {size} bytes outside "
-                    f"[0x{base:x}, 0x{bound:x})",
-                    address=ptr,
-                    source="softbound",
-                )
-            return nxt
-
-        return op
-
-    return make
-
-
-def _build_check_temporal_check(check_instr, temporal_instr, index):
-    """``sb_check`` + ``sb_temporal_check`` — the canonical instrumented
-    deref shape under temporal checking (the transform always emits the
-    pair back-to-back).  One dispatch saved per checked access; the
-    spatial half traps first, exactly as unfused."""
-    access_kind = check_instr.access_kind
-    t_access_kind = temporal_instr.access_kind
-    nxt = index + 2
-
-    def make(engine, function):
-        st = engine.stats
-        limit = engine.limit
-        ptr_acc = engine.acc(check_instr.ptr)
-        base_acc = engine.acc(check_instr.base)
-        bound_acc = engine.acc(check_instr.bound)
-        size_acc = engine.acc(check_instr.size)
-        t_ptr_acc = engine.acc(temporal_instr.ptr)
-        key_acc = engine.acc(temporal_instr.key)
-        lock_acc = engine.acc(temporal_instr.lock)
-        runtime = engine.machine.sb_runtime
-        check_cost = OP_COSTS[getattr(runtime, "check_cost_key", "sb.check")]
-        tcost = OP_COSTS["sb.temporal.check"]
-        slots = runtime.lockspace.slots if runtime.lockspace is not None else {}
-        profile = engine.machine.site_profile
-
-        if profile is not None:
-            counts = profile.counts
-            check_key = ("sb_check",) + tuple(site_of(check_instr))
-            temporal_key = ("sb_temporal_check",) + tuple(site_of(temporal_instr))
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                counts[check_key] = counts.get(check_key, 0) + 1
-                ptr = ptr_acc(regs)
-                base = base_acc(regs)
-                bound = bound_acc(regs)
-                size = size_acc(regs)
-                st.checks += 1
-                st.cost += check_cost
-                if ptr < base or ptr + size > bound:
-                    raise Trap(
-                        TrapKind.SPATIAL_VIOLATION,
-                        f"{access_kind} of {size} bytes outside "
-                        f"[0x{base:x}, 0x{bound:x})",
-                        address=ptr,
-                        source="softbound",
-                    )
-                n += 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                counts[temporal_key] = counts.get(temporal_key, 0) + 1
-                key = key_acc(regs)
-                st.temporal_checks += 1
-                st.cost += tcost
-                if key == 0 or slots.get(lock_acc(regs)) != key:
-                    from .errors import temporal_violation
-
-                    raise temporal_violation(t_access_kind, t_ptr_acc(regs), key,
-                                             lock_acc(regs))
-                return nxt
-
-            return op
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            ptr = ptr_acc(regs)
-            base = base_acc(regs)
-            bound = bound_acc(regs)
-            size = size_acc(regs)
-            st.checks += 1
-            st.cost += check_cost
-            if ptr < base or ptr + size > bound:
-                raise Trap(
-                    TrapKind.SPATIAL_VIOLATION,
-                    f"{access_kind} of {size} bytes outside "
-                    f"[0x{base:x}, 0x{bound:x})",
-                    address=ptr,
-                    source="softbound",
-                )
-            n += 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            key = key_acc(regs)
-            st.temporal_checks += 1
-            st.cost += tcost
-            if key == 0 or slots.get(lock_acc(regs)) != key:
-                from .errors import temporal_violation
-
-                raise temporal_violation(t_access_kind, t_ptr_acc(regs), key,
-                                         lock_acc(regs))
-            return nxt
-
-        return op
-
-    return make
-
-
-# The builder table is the *shared registry* from
-# :mod:`repro.vm.dispatch`: core builders register here at import, and
-# checker policies register their own opcodes' builders through the
-# same door.  An opcode registered with only an interpreter handler is
-# still executable — ``_build_instr`` adapts it generically.
-from .dispatch import ENGINE_BUILDERS as _BUILDERS, register_opcode
-
-for _opcode, _builder in (
-    ("alloca", _build_alloca),
-    ("load", _build_load),
-    ("store", _build_store),
-    ("binop", _build_binop),
-    ("cmp", _build_cmp),
-    ("gep", _build_gep),
-    ("cast", _build_cast),
-    ("mov", _build_mov),
-    ("br", _build_br),
-    ("cbr", _build_cbr),
-    ("unreachable", _build_unreachable),
-    ("memcopy", _build_memcopy),
-    ("call", _build_call),
-    ("ret", _build_ret),
-    ("sb_check", _build_sb_check),
-    ("sb_temporal_check", _build_sb_temporal_check),
-    ("sb_meta_load", _build_sb_meta_load),
-    ("sb_meta_store", _build_sb_meta_store),
-    ("sb_meta_clear", _build_sb_meta_clear),
-):
-    register_opcode(_opcode, builder=_builder)
-del _opcode, _builder
+def _fast_call(engine, target, arg_accs, site, nxt, dst, dst_meta, call_cost):
+    """Direct call with nothing to notify: the frame push is fully
+    specialized — layout constants, parameter registers and the
+    saved-FP/RA writes are all pre-bound; no metadata, no observers."""
+    machine = engine.machine
+    st = engine.stats
+    limit = engine.limit
+    frames = machine.frames
+    entry_block = target.entry
+    layout, allocas, fp_off, ret_off, va_off = _frame_layout(target)
+    frame_size = va_off
+    param_uids = [p.register.uid for p in target.params]
+    stack_seg = engine.memory.stack
+    stack_data = stack_seg.data
+    stack_base = stack_seg.base
+    pack_u64 = _SCALAR_CODECS[(8, False)].pack_into
+    target_fname = target.name
+    new_frame_of = Frame.__new__
+
+    # Parameter binding specialized by arity: small argument lists
+    # become a dict display, larger ones a zip loop.
+    nparams = len(param_uids)
+    if nparams == 0:
+        def bind_args(regs):
+            return {}
+    elif nparams == 1:
+        u0, a0 = param_uids[0], arg_accs[0]
+
+        def bind_args(regs):
+            return {u0: a0(regs)}
+    elif nparams == 2:
+        (u0, u1), (a0, a1) = param_uids, arg_accs[:2]
+
+        def bind_args(regs):
+            return {u0: a0(regs), u1: a1(regs)}
+    elif nparams == 3:
+        (u0, u1, u2), (a0, a1, a2) = param_uids, arg_accs[:3]
+
+        def bind_args(regs):
+            return {u0: a0(regs), u1: a1(regs), u2: a2(regs)}
+    else:
+        def bind_args(regs):
+            return {uid: acc(regs) for uid, acc in zip(param_uids, arg_accs)}
+
+    def op(frame, regs):
+        n = st.instructions + 1
+        st.instructions = n
+        if n > limit:
+            raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
+        st.calls += 1
+        st.cost += call_cost
+        new_regs = bind_args(regs)
+        base = machine.sp - frame_size
+        if base < stack_base:
+            raise Trap(TrapKind.STACK_OVERFLOW, target_fname)
+        new_frame = new_frame_of(Frame)
+        new_frame.function = target
+        new_frame.regs = new_regs
+        new_frame.base = base
+        new_frame.size = frame_size
+        fp = base + fp_off
+        new_frame.fp = fp
+        new_frame.expected_ret = site
+        new_frame.alloca_ctypes = allocas
+        new_frame.va_spill = 0
+        new_frame.va_bytes = 0
+        new_frame.va_ptr_count = 0
+        new_frame.va_metas = _EMPTY_VA_METAS
+        # Materialize saved FP and return address in simulated memory
+        # (the attackable control data); [fp, fp+16) is inside the
+        # stack segment by the overflow check above, so encode straight
+        # into it.
+        off = fp - stack_base
+        pack_u64(stack_data, off, frame.fp & _M64)
+        pack_u64(stack_data, off + 8, site)
+        machine.sp = base
+        frames.append(new_frame)
+        frame.index = nxt
+        new_frame.dst_reg = dst
+        new_frame.dst_meta = dst_meta
+        new_frame.caller_site = frame
+        new_frame.block = entry_block
+        new_frame.index = 0
+        return -1
+
+    return op

@@ -7,11 +7,11 @@ import pytest
 
 from repro.fuzz.pool import IsolatedPool, PoolTask
 
-ECHO = "repro.fuzz._testhooks:echo"
-HANG = "repro.fuzz._testhooks:hang"
-KILL = "repro.fuzz._testhooks:kill_self"
-KILL_ONCE = "repro.fuzz._testhooks:kill_self_once"
-FLAKY_ONCE = "repro.fuzz._testhooks:flaky_once"
+ECHO = "repro.harness.faults:echo"
+HANG = "repro.harness.faults:hang"
+KILL = "repro.harness.faults:kill_self"
+KILL_ONCE = "repro.harness.faults:kill_self_once"
+FLAKY_ONCE = "repro.harness.faults:flaky_once"
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +98,7 @@ class TestInBandErrors:
         assert outcome.attempts == 2
 
     def test_bad_call_path_is_an_error(self, pool):
-        (outcome,) = pool.run([PoolTask("repro.fuzz._testhooks:nope")])
+        (outcome,) = pool.run([PoolTask("repro.harness.faults:nope")])
         assert outcome.status == "error"
 
 

@@ -1,6 +1,6 @@
 """The shared fault-injection registry (`repro.harness.faults`):
 arming semantics, environment parsing, the store fault points, and the
-legacy `repro.fuzz._testhooks` alias."""
+subprocess hooks."""
 
 import errno
 import subprocess
@@ -121,14 +121,5 @@ class TestEnvArming:
 
 
 class TestLegacyAlias:
-    def test_testhooks_module_still_resolves(self):
-        """Recorded ``repro.fuzz._testhooks:name`` task paths must keep
-        working: the shim re-exports the subprocess hooks."""
-        from repro.fuzz import _testhooks
-
-        for name in ("echo", "hang", "kill_self", "kill_self_once",
-                     "flaky_once", "write_pid"):
-            assert getattr(_testhooks, name) is getattr(faults, name)
-
     def test_echo_round_trip(self):
         assert faults.echo({"k": 1}) == {"k": 1}

@@ -104,6 +104,51 @@ class TestNesting:
         assert child_line["parent"] == held.span_id
 
 
+
+class TestSpanIdentity:
+    def test_forked_child_gets_its_own_span_ids(self, sink):
+        # A pool worker forked from a traced parent must not keep the
+        # parent's pid stamp and sequence, or both emit the same ids.
+        with tracer().span("parent"):
+            tracer().span("before").finish()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    tracer().span("child").finish()
+                finally:
+                    os._exit(0)
+            os.waitpid(pid, 0)
+            tracer().span("after").finish()
+        lines = read_lines(sink)
+        ids = [line["span"] for line in lines]
+        assert len(ids) == len(set(ids)) == 4
+        child = next(line for line in lines if line["name"] == "child")
+        assert child["pid"] == pid
+        assert child["span"].startswith(f"{pid}:")
+        assert "parent" not in child
+
+    def test_concurrent_asyncio_spans_nest_per_task(self, sink):
+        # Concurrent requests share one event-loop thread; each must
+        # nest under its own span, not under whichever opened first.
+        import asyncio
+
+        async def request(name):
+            with tracer().span(name) as span:
+                await asyncio.sleep(0)
+                with tracer().span(name + ".child"):
+                    await asyncio.sleep(0)
+            return span.span_id
+
+        async def main():
+            return await asyncio.gather(request("a"), request("b"))
+
+        a_id, b_id = asyncio.run(main())
+        lines = {line["name"]: line for line in read_lines(sink)}
+        assert "parent" not in lines["a"]
+        assert "parent" not in lines["b"]
+        assert lines["a.child"]["parent"] == a_id
+        assert lines["b.child"]["parent"] == b_id
+
 class TestAttrs:
     def test_set_and_finish_attrs_merge(self, sink):
         span = tracer().start_span("s", a=1)

@@ -185,6 +185,43 @@ class TestDaemonEndToEnd:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
 
+    def _raw_status(self, daemon, data, half_close=False):
+        """Send raw bytes; the status code of the response.  The daemon
+        closes with the rest of a rejected request unread, so the
+        connection may reset once the response is in."""
+        import socket
+
+        received = b""
+        with socket.create_connection(("127.0.0.1", daemon.port),
+                                      timeout=30) as sock:
+            sock.sendall(data)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+            try:
+                while b"\r\n" not in received:
+                    chunk = sock.recv(4096)
+                    if not chunk:
+                        break
+                    received += chunk
+            except ConnectionResetError:
+                pass
+        return int(received.split(b" ", 2)[1])
+
+    def test_negative_content_length_is_400(self, daemon):
+        assert self._raw_status(
+            daemon, b"POST /run HTTP/1.1\r\nContent-Length: -1\r\n\r\n"
+        ) == 400
+
+    def test_truncated_body_is_400(self, daemon):
+        assert self._raw_status(
+            daemon, b"POST /run HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+                    b'{"source": ', half_close=True) == 400
+
+    def test_header_line_past_stream_limit_is_431(self, daemon):
+        assert self._raw_status(
+            daemon, b"GET /healthz HTTP/1.1\r\nX-Big: "
+                    + b"a" * (70 * 1024) + b"\r\n\r\n") == 431
+
     def test_unknown_path_404_and_bad_method_405(self, daemon):
         status, body, _ = self._post(daemon, "/nope", {"source": SOURCE})
         assert status == 404
