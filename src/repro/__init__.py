@@ -19,12 +19,14 @@ Quickstart (the :mod:`repro.api` facade)::
     report = session.run(C_SOURCE, profile="spatial")   # protected
     report = session.run(C_SOURCE, profile="temporal")  # + lock-and-key
 
-The legacy one-call forms remain as byte-identical shims::
+A raw :class:`SoftBoundConfig` is a profile too::
 
-    from repro import compile_and_run, SoftBoundConfig
+    from repro import SoftBoundConfig, compile_source
 
-    result = compile_and_run(C_SOURCE)                    # unprotected
-    result = compile_and_run(C_SOURCE, SoftBoundConfig()) # protected
+    result = compile_source(C_SOURCE, SoftBoundConfig()).run()
+
+(The legacy one-call driver shims are removed; ``docs/API.md`` maps
+each to its replacement.)
 """
 
 __version__ = "2.0.0"
@@ -39,11 +41,7 @@ __all__ = [
     "resolve_env",
     "compile_source",
     "run_source",
-    # Legacy shims.
     "CompiledProgram",
-    "compile_program",
-    "compile_and_run",
-    "run_program",
     "compile_and_link",
     "CheckMode",
     "MetadataScheme",
@@ -53,7 +51,6 @@ __all__ = [
 _API_NAMES = {"ProtectionProfile", "Toolchain", "Session", "RunReport",
               "BatchReport", "resolve_env", "compile_source", "run_source",
               "CompiledProgram"}
-_DRIVER_NAMES = {"compile_program", "compile_and_run", "run_program"}
 _CONFIG_NAMES = {"CheckMode", "MetadataScheme", "SoftBoundConfig"}
 _LINKER_NAMES = {"compile_and_link"}
 
@@ -65,10 +62,6 @@ def __getattr__(name):
         from . import api
 
         return getattr(api, name)
-    if name in _DRIVER_NAMES:
-        from .harness import driver
-
-        return getattr(driver, name)
     if name in _CONFIG_NAMES:
         from .softbound import config
 

@@ -30,8 +30,10 @@ Quickstart::
     if report.detected_violation:
         print("stopped:", report.trap)
 
-The legacy ``repro.compile_program``/``compile_and_run`` entry points
-remain as byte-identical shims over this facade.
+The legacy one-call driver shims are gone:
+``compile_source(src, profile=ProtectionProfile.from_config(cfg))``
+(or just ``compile_source(src, cfg)``) compiles, and the program's
+``.run(...)`` executes (``docs/API.md`` has the migration table).
 """
 
 from .env import (

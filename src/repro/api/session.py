@@ -15,10 +15,14 @@ sessionless one-shot forms the harness and benchmarks use when caching
 is handled elsewhere.
 """
 
+import hashlib
+import os
 import time
 import warnings
 from dataclasses import dataclass, replace
 
+from ..store.format import compute_key, dumps_program
+from ..store.locks import FileLock
 from .env import resolve_env, resolve_store
 from .profiles import as_profile
 from .reports import BatchReport, report_from_result
@@ -28,6 +32,10 @@ from .toolchain import Toolchain, compile_source
 #: modules are small and the bound exists to stop unbounded growth in
 #: long-lived sessions like the serve daemon, not to meter memory).
 DEFAULT_CACHE_ENTRIES = 256
+
+#: How long a cold-key compile waits on another process's flight lock
+#: before degrading to its own compile.
+COALESCE_WAIT_SECONDS = 120.0
 
 
 def open_store(store_dir=None, **kwargs):
@@ -126,52 +134,38 @@ class RunRequest:
         return replace(request, profile=as_profile(request.profile))
 
 
-def _compile_through_store(source, profile, optimize, verify, store):
-    """Compile with the persistent store consulted first: a verified
-    disk hit skips the toolchain entirely; a miss (or quarantined
-    corruption) compiles and warms the store.  Returns
-    ``(compiled, origin)`` with origin ``"store"`` or ``"compile"``."""
-    if store is not None:
-        compiled = store.load(source, profile, optimize)
-        if compiled is not None:
-            return compiled, "store"
-    compiled = Toolchain(profile=profile, optimize=optimize,
-                         verify=verify).compile(source)
-    if store is not None:
-        store.save(source, profile, optimize, compiled)
-    return compiled, "compile"
+#: The process's worker-side session (see :func:`worker_session`).
+_worker = None
+
+
+def worker_session(store_dir=None):
+    """This process's worker-side :class:`Session` on ``store_dir``
+    (``None``: no store).  Pool and batch workers compile through it,
+    so a worker opens the store once, not per task, keeps one LRU, and
+    takes the store's single-flight lock on a cold key.  A task naming
+    another store replaces it."""
+    global _worker
+    if _worker is None or _worker.env.store != (store_dir or None):
+        _worker = Session(jobs=1, store_dir=store_dir or "")
+    return _worker
 
 
 def execute_run_request(request):
     """Compile and run one :class:`RunRequest` (the worker-process entry
-    point for the ``api_run`` parallel task kind).  When the request
-    names a store directory the worker consults/warms it, so batch
-    workers share warm artifacts across processes; a store that cannot
-    even open degrades to a plain compile."""
-    optimize = True if request.optimize is None else request.optimize
-    verify = True if request.verify is None else request.verify
-    if not request.store_dir:
-        return run_source(request.source, profile=request.profile,
+    point for the ``api_run`` parallel task kind) through the worker's
+    :func:`worker_session`, so batch workers share warm artifacts
+    across processes; a store that cannot even open degrades to a
+    plain compile."""
+    session = worker_session(request.store_dir)
+    compiled, origin = session.lookup(request.source, request.profile,
+                                      optimize=request.optimize,
+                                      verify=request.verify)
+    report = run_compiled(compiled, profile=request.profile,
                           name=request.name, input_data=request.input_data,
-                          entry=request.entry, optimize=optimize,
-                          verify=verify, engine=request.engine)
-    profile = as_profile(request.profile)
-    store = None
-    try:
-        from ..store import ArtifactStore
-
-        store = ArtifactStore(request.store_dir)
-    except OSError as error:
-        warnings.warn(f"artifact store {request.store_dir!r} unavailable "
-                      f"({error}); compiling without it", RuntimeWarning,
-                      stacklevel=2)
-    compiled, origin = _compile_through_store(
-        request.source, profile, optimize, verify, store)
-    report = run_compiled(compiled, profile=profile, name=request.name,
-                          input_data=request.input_data,
                           entry=request.entry, engine=request.engine)
-    if store is not None:
-        report.cache = {"origin": origin, "store": store.stats.as_dict()}
+    if session.store is not None:
+        report.cache = {"origin": origin,
+                        "store": session.store.stats.as_dict()}
     return report
 
 
@@ -238,19 +232,67 @@ class Session:
         default to the session's settings.  (``verify`` is not part of
         the cache key: it only adds IR consistency checks and never
         changes the compiled output.)"""
+        return self.lookup(source, profile, optimize, verify)[0]
+
+    def lookup(self, source, profile=None, optimize=None, verify=None):
+        """:meth:`compile`, also saying where the program came from:
+        returns ``(compiled, origin)`` with origin ``"memory"``,
+        ``"store"`` or ``"compile"``."""
         profile = as_profile(profile)
         optimize = self.optimize if optimize is None else optimize
         verify = self.verify if verify is None else verify
         key = (source, profile.cache_key(), optimize)
         compiled = self._programs.get(key)
         if compiled is not None:
-            self._last_compile_origin = "memory"
-            return compiled
-        compiled, origin = _compile_through_store(
-            source, profile, optimize, verify, self.store)
+            return compiled, "memory"
+        compiled, origin = self._compile_cold(source, profile, optimize,
+                                              verify)
         self._programs.put(key, compiled)
-        self._last_compile_origin = origin
-        return compiled
+        return compiled, origin
+
+    def _compile_cold(self, source, profile, optimize, verify):
+        """A verified store hit skips the toolchain; a miss compiles
+        under the key's *flight lock* (distinct from the entry lock the
+        store's ``save`` takes) and re-checks the store once it holds
+        it, so of N processes racing one cold key exactly one compiles
+        and the rest load its bytes.  A process that cannot get the
+        lock within :data:`COALESCE_WAIT_SECONDS` compiles anyway:
+        liveness beats dedup."""
+        toolchain = Toolchain(profile=profile, optimize=optimize,
+                              verify=verify)
+        store = self.store
+        if store is None:
+            return toolchain.compile(source), "compile"
+        compiled = store.load(source, profile, optimize)
+        if compiled is not None:
+            return compiled, "store"
+        key = compute_key(source, profile, optimize)
+        flight = FileLock(os.path.join(store.locks_dir,
+                                       "flight." + key[:32] + ".lock"),
+                          timeout=COALESCE_WAIT_SECONDS)
+        with flight as acquired:
+            if acquired and os.path.exists(store.entry_path(key)):
+                compiled = store.load(source, profile, optimize)
+                if compiled is not None:
+                    return compiled, "store"
+            compiled = toolchain.compile(source)
+            store.save(source, profile, optimize, compiled)
+        return compiled, "compile"
+
+    def fingerprint(self, compiled, source, profile=None, optimize=None):
+        """sha256 naming ``compiled`` — this session's build of
+        ``source`` — byte for byte: the store entry's payload digest
+        when the store holds one (the bytes every process that loaded
+        it agrees on), else the digest of the program's own pickle
+        (the same before and after it runs)."""
+        profile = as_profile(profile)
+        optimize = self.optimize if optimize is None else optimize
+        if self.store is not None:
+            digest = self.store.payload_sha256(
+                compute_key(source, profile, optimize))
+            if digest is not None:
+                return digest
+        return hashlib.sha256(dumps_program(compiled)).hexdigest()
 
     @property
     def cached_programs(self):
@@ -279,13 +321,12 @@ class Session:
         :class:`~repro.api.reports.RunReport`.  ``engine`` overrides the
         session's resolved engine for this run."""
         profile = as_profile(profile)
-        compiled = self.compile(source, profile)
+        compiled, origin = self.lookup(source, profile)
         report = run_compiled(compiled, profile=profile, name=name,
                               input_data=input_data, entry=entry,
                               engine=engine if engine is not None
                               else self.env.engine, **kwargs)
-        report.cache = dict(self.cache_counters(),
-                            origin=self._last_compile_origin)
+        report.cache = dict(self.cache_counters(), origin=origin)
         return report
 
     def run_many(self, items, jobs=None, benchmark="session-batch",
@@ -319,15 +360,14 @@ class Session:
             # In-process serial path rides the session's compile cache.
             reports = []
             for request in requests:
+                compiled, origin = self.lookup(
+                    request.source, request.profile,
+                    optimize=request.optimize, verify=request.verify)
                 report = run_compiled(
-                    self.compile(request.source, request.profile,
-                                 optimize=request.optimize,
-                                 verify=request.verify),
-                    profile=request.profile, name=request.name,
+                    compiled, profile=request.profile, name=request.name,
                     input_data=request.input_data,
                     entry=request.entry, engine=request.engine)
-                report.cache = dict(self.cache_counters(),
-                                    origin=self._last_compile_origin)
+                report.cache = dict(self.cache_counters(), origin=origin)
                 reports.append(report)
         else:
             tasks = [("api_run", request) for request in requests]

@@ -16,9 +16,7 @@ function.
 ``instrument``/``post-optimize`` run only when the toolchain's
 :class:`~repro.api.profiles.ProtectionProfile` carries a
 ``SoftBoundConfig``; a skipped stage fires no hooks and records no
-artifact.  The legacy ``repro.harness.driver.compile_program`` is a thin
-shim over this class and is pinned byte-identical by the golden
-equivalence tests.
+artifact.
 """
 
 import time

@@ -282,15 +282,10 @@ def _compile_cli(sources, profile, optimize):
     """Compile the CLI's input, consulting the persistent artifact
     store (``REPRO_STORE``) for single-file programs; multi-unit links
     always compile directly.  Returns ``(compiled, origin)``."""
-    from .api import as_profile, compile_sources, open_store
+    from .api import Session, compile_sources, resolve_store
 
-    if len(sources) == 1:
-        store = open_store()
-        if store is not None:
-            from .api.session import _compile_through_store
-
-            return _compile_through_store(sources[0], as_profile(profile),
-                                          optimize, True, store)
+    if len(sources) == 1 and resolve_store() is not None:
+        return Session(optimize=optimize).lookup(sources[0], profile)
     return compile_sources(sources, profile=profile,
                            optimize=optimize), None
 

@@ -27,7 +27,7 @@ from ..workloads import randprog
 from .corpus import Corpus
 from .minimize import minimize, predicate_for
 from .oracle import ConfigMatrix, judge_program, plan_program
-from .pool import IsolatedPool, PoolTask
+from ..harness.pool import IsolatedPool, PoolTask
 
 #: Minimize at most this many discrepancies per seed — one reproducer
 #: per root cause is plenty; the rest are recorded in the checkpoint.
@@ -158,7 +158,7 @@ class Campaign:
                     and next(clean_counter) % self.matrix.parallel_every == 0)
                 plan = plan_program(program, self.matrix,
                                     parallel_check=parallel_check)
-                outcomes = pool.run([task for _, task in plan])
+                outcomes = pool.map([task for _, task in plan])
                 judgment = judge_program(
                     program,
                     list(zip((cfg for cfg, _ in plan), outcomes)),
@@ -259,7 +259,7 @@ class Campaign:
             PoolTask("repro.harness.faults:flaky_once", (flake_marker,)),
             PoolTask("repro.harness.faults:echo", ("alive",)),
         ]
-        outcomes = pool.run(tasks)
+        outcomes = pool.map(tasks)
         expectations = [
             ("hung task", outcomes[0].status == "timeout"),
             ("killed worker retried",

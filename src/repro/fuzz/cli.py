@@ -137,7 +137,7 @@ def _cmd_run(args, stdout, stderr):
 def _cmd_minimize(args, stdout, stderr):
     from .minimize import minimize, predicate_for
     from .oracle import Discrepancy
-    from .pool import IsolatedPool
+    from ..harness.pool import IsolatedPool
 
     case_path = os.path.join(args.case, "case.json")
     original_path = os.path.join(args.case, "original.c")

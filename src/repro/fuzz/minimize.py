@@ -117,13 +117,13 @@ def _make_runner(pool=None, max_instructions=MINIMIZE_MAX_INSTRUCTIONS,
                               max_instructions=max_instructions)
         return run
 
-    from .pool import PoolTask
+    from ..harness.pool import PoolTask
 
     def run(source, policy, engine, optimize):
         task = PoolTask(RUN_CALL, (source, policy, engine, optimize),
                         {"max_instructions": max_instructions},
                         timeout=timeout)
-        (outcome,) = pool.run([task])
+        (outcome,) = pool.map([task])
         if outcome.status != "ok":
             return {"status": outcome.status}
         return outcome.value

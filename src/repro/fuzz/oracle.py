@@ -21,7 +21,7 @@ deletes a check that should have fired, which surfaces here as a
 ``missed_detection`` (mutated seed, O2 ran past the defect while O0/O1
 trapped) or a per-policy ``divergence`` finding — never silently.
 
-Execution happens inside :mod:`repro.fuzz.pool` workers under a VM
+Execution happens inside :mod:`repro.harness.pool` workers under a VM
 instruction budget (the cost model's ``RESOURCE_LIMIT`` trap) plus the
 pool's wallclock deadline, so the judge also sees ``timeout``/``crash``
 verdicts and turns them into findings instead of infra failures.
@@ -191,7 +191,7 @@ def run_parallel_check(source, policies, optimize=True):
 def plan_program(program, matrix, parallel_check=False):
     """The task plan for one program: an ordered list of
     ``(RunConfig, PoolTask)`` pairs."""
-    from .pool import PoolTask
+    from ..harness.pool import PoolTask
 
     plan = []
     for config in matrix.configs():

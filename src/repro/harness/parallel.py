@@ -97,13 +97,9 @@ def execute_task(task):
     if kind == "py":
         # ("py", "module:attr", *args) — a generic picklable call, for
         # tooling and the robustness tests (hooks must be importable).
-        import importlib
+        from .pool import resolve_call
 
-        module_name, _, attr = task[1].partition(":")
-        target = importlib.import_module(module_name)
-        for part in attr.split("."):
-            target = getattr(target, part)
-        return target(*task[2:])
+        return resolve_call(task[1])(*task[2:])
     if kind == "api_run":
         from ..api.session import execute_run_request
 

@@ -56,6 +56,16 @@ class Function:
         self.sb_transformed = False
         self.sb_extra_params = []  # base/bound companion Params
 
+    def __getstate__(self):
+        # Running a program memoizes an engine template and a frame
+        # layout on each function; they are per-process closures, so a
+        # pickle leaves them out and stays the same before and after a
+        # run.
+        state = dict(self.__dict__)
+        state.pop("_engine_template", None)
+        state.pop("_frame_layout", None)
+        return state
+
     def new_reg(self, irtype, hint=""):
         reg = Register(self._next_reg, irtype, hint)
         self._next_reg += 1

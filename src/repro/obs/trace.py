@@ -27,9 +27,13 @@ own spans, as threads do; ``span()`` is a context manager,
 ``start_span``/``finish`` the explicit form for spans that outlive a
 scope (parallel task lifetimes).  A forked child starts with its own
 pid stamp, sequence and an empty span stack, so its span ids never
-repeat the parent's.
+repeat the parent's.  A pool worker runs each task under
+:meth:`Tracer.remote_parent`, with the id its submitter's
+:meth:`Tracer.current_span_id` returned, so the task's spans nest
+under the submitting span across the process boundary.
 """
 
+import contextlib
 import contextvars
 import json
 import os
@@ -67,10 +71,25 @@ class _NullTracer:
     def start_span(self, name, **attrs):
         return NULL_SPAN
 
+    def current_span_id(self):
+        return None
+
+    def remote_parent(self, span_id):
+        return NULL_SPAN
+
     def summary(self):
         return {}
 
 NULL_TRACER = _NullTracer()
+
+
+class _RemoteParent:
+    """Stands on a span stack for a span of another process."""
+
+    __slots__ = ("span_id",)
+
+    def __init__(self, span_id):
+        self.span_id = span_id
 
 
 class Span:
@@ -143,6 +162,21 @@ class Tracer:
 
     def span(self, name, **attrs):
         return self.start_span(name, **attrs)
+
+    def current_span_id(self):
+        """The id of this context's innermost open span, or ``None``."""
+        stack = self._stack.get()
+        return stack[-1].span_id if stack else None
+
+    @contextlib.contextmanager
+    def remote_parent(self, span_id):
+        """Open this context's spans under ``span_id``, a span another
+        process opened (a pool task's submitter), until the block ends."""
+        token = self._stack.set(self._stack.get() + (_RemoteParent(span_id),))
+        try:
+            yield
+        finally:
+            self._stack.reset(token)
 
     def _finish(self, span, dur):
         stack = self._stack.get()

@@ -5,8 +5,9 @@ daemons; this package turns the reproduction itself into one.
 ``python -m repro serve`` starts an HTTP front-end
 (:mod:`~repro.serve.server`) that accepts compile/check/run requests
 (JSON in, :meth:`~repro.api.reports.RunReport.to_json`-shaped JSON out)
-and executes them on a pool of persistent, crash-isolated worker
-processes (:mod:`~repro.serve.workers`) under per-request QoS budgets
+and executes them (:mod:`~repro.serve.workers`) on the persistent,
+crash-isolated workers of :mod:`repro.harness.pool` under per-request
+QoS budgets
 (:mod:`~repro.serve.qos`).  :mod:`~repro.serve.loadgen` is the matching
 deterministic traffic generator the benchmark and smoke drills drive
 the daemon with.
@@ -16,6 +17,5 @@ and the ops runbook.
 """
 
 from .qos import AdmissionError, QosPolicy
-from .workers import WarmPool
 
-__all__ = ["AdmissionError", "QosPolicy", "WarmPool"]
+__all__ = ["AdmissionError", "QosPolicy"]

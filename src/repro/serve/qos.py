@@ -12,7 +12,7 @@ Three budgets protect the fleet from any single request:
 * **Wallclock deadlines.**  The instruction budget bounds work *inside*
   the VM; the deadline is the backstop for everything outside it (a
   wedged worker, a pathological compile).  A worker past its deadline
-  is SIGKILLed and respawned — the :mod:`repro.fuzz.pool` kill
+  is SIGKILLed and respawned — the :mod:`repro.harness.pool` kill
   discipline — and the request resolves 504 without touching any other
   in-flight request.
 * **Bounded admission.**  Requests past the worker pool are queued; a

@@ -1,10 +1,10 @@
 """The serve daemon's asyncio HTTP front-end.
 
 A deliberately small HTTP/1.1 server (standard library only, one
-request per connection) in front of the :class:`~repro.serve.workers.
-WarmPool`.  The wire contract:
+request per connection) in front of a warm
+:class:`~repro.harness.pool.IsolatedPool`.  The wire contract:
 
-* ``POST /run`` — compile (three-level cached) and execute the posted
+* ``POST /run`` — compile (cached) and execute the posted
   C source under a registered protection profile; the response body is
   the :meth:`RunReport.to_json() <repro.api.reports.RunReport.to_json>`
   row, bit-identical to ``python -m repro run --json`` apart from host
@@ -28,7 +28,10 @@ completion is 200 *whatever its own exit status was* (the CLI passes
 that through as its exit code; HTTP reports it in the body's
 ``exit_code`` instead) — the trap field, not the number, decides.  Serve-level degradations use their own statuses: 503 when the
 admission queue sheds the request, 504 when the wallclock deadline
-kills a hung worker, 500 when a request kills its worker twice.
+kills a hung worker, 500 when a request kills its worker twice.  The
+front door answers a malformed request 400, one not received within
+:data:`REQUEST_READ_SECONDS` 408, and one with an over-long line or
+more than :data:`MAX_HEADERS` header lines 431.
 """
 
 import asyncio
@@ -40,18 +43,30 @@ import time
 
 from ..api.env import resolve_engine, resolve_serve, resolve_store
 from ..api.profiles import PROFILES, UsageError
+from ..harness.pool import CRASH, OK, TIMEOUT, IsolatedPool
 from ..obs.metrics import default_registry, histogram_quantile
 from ..obs.trace import tracer
 from .qos import AdmissionError, QosPolicy
-from .workers import CRASH, OK, TIMEOUT, WarmPool
+from .workers import serve_task
 
 #: Request bodies past this are rejected 413 before JSON parsing.
 MAX_BODY_BYTES = 4 * 1024 * 1024
+#: Seconds a client gets to deliver its whole request (request line,
+#: headers and body); a slower one is answered 408.
+REQUEST_READ_SECONDS = 10.0
+#: Header lines one request may carry; one more is answered 431.
+MAX_HEADERS = 100
 
 
 class HeaderTooLarge(Exception):
     """A request or header line longer than the stream's line limit
-    (asyncio's 64 KiB default); answered 431."""
+    (asyncio's 64 KiB default), or more than :data:`MAX_HEADERS`
+    header lines; answered 431."""
+
+
+class RequestTimeout(Exception):
+    """The request did not arrive within :data:`REQUEST_READ_SECONDS`;
+    answered 408."""
 
 
 #: CLI exit code → HTTP status (the deterministic mapping; see module
@@ -176,13 +191,17 @@ class ServeDaemon:
         self.store_dir = resolve_store(store_dir)
         self.engine = engine
         self.allow_test_faults = allow_test_faults
-        self.pool = WarmPool(workers=self.config.workers,
-                             deadline=self.qos.deadline_seconds)
+        self.pool = IsolatedPool(jobs=self.config.workers,
+                                 task_timeout=self.qos.deadline_seconds)
         self.port = None
         self._server = None
         self._started = time.monotonic()
         self._inflight = set()
         registry = default_registry()
+        # The pool's width, queue, in-flight and worker-lifecycle
+        # numbers as repro_serve_* series (weakref'd to the pool).
+        registry.register_source("repro_serve_", self.pool,
+                                 IsolatedPool.counters)
         self._registry = registry
         self._latency = registry.histogram("repro_serve_request_seconds",
                                            buckets=_LATENCY_BUCKETS)
@@ -248,6 +267,8 @@ class ServeDaemon:
                 status, body, headers = 400, {"error": str(error)}, {}
             except HeaderTooLarge as error:
                 status, body, headers = 431, {"error": str(error)}, {}
+            except RequestTimeout as error:
+                status, body, headers = 408, {"error": str(error)}, {}
             except AdmissionError as error:
                 status, body = 503, {"error": str(error)}
                 headers = {"Retry-After": "1"}
@@ -279,10 +300,12 @@ class ServeDaemon:
             raise UsageError("malformed request line")
         method, target, _version = parts
         headers = {}
-        while True:
+        for count in range(MAX_HEADERS + 1):
             line = await self._read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
+            if count == MAX_HEADERS:
+                raise HeaderTooLarge(f"more than {MAX_HEADERS} header lines")
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         body = b""
@@ -307,7 +330,7 @@ class ServeDaemon:
     async def _write_response(self, writer, status, body, headers=None):
         reason = {200: "OK", 400: "Bad Request", 403: "Forbidden",
                   404: "Not Found", 405: "Method Not Allowed",
-                  422: "Unprocessable Entity",
+                  408: "Request Timeout", 422: "Unprocessable Entity",
                   431: "Request Header Fields Too Large",
                   500: "Internal Server Error",
                   503: "Service Unavailable",
@@ -326,7 +349,12 @@ class ServeDaemon:
     # -- routing -------------------------------------------------------
 
     async def _dispatch(self, reader):
-        method, path, body = await self._read_request(reader)
+        try:
+            method, path, body = await asyncio.wait_for(
+                self._read_request(reader), REQUEST_READ_SECONDS)
+        except asyncio.TimeoutError:
+            raise RequestTimeout(f"request not received within "
+                                 f"{REQUEST_READ_SECONDS:g}s") from None
         if method == "GET":
             if path == "/metrics":
                 return 200, self._metrics_body(), {}
@@ -360,7 +388,7 @@ class ServeDaemon:
         span = tracer().start_span("serve.request", route=path,
                                    program=payload["name"],
                                    profile=payload["profile"])
-        future = self.pool.submit(payload)
+        future = self.pool.submit(serve_task(payload))
         self._inflight.add(future)
         try:
             outcome = await asyncio.wrap_future(future)

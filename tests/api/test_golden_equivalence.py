@@ -1,15 +1,15 @@
-"""Golden equivalence: the legacy shims and the facade are one path.
+"""Golden equivalence: the bare toolchain and the facade are one path.
 
-``compile_and_run``/``compile_program`` must stay byte-identical to the
+A direct ``Toolchain(...).compile(...).run(...)`` — the one-call path
+the removed driver shims took — must stay byte-identical to the
 :class:`repro.api.Session` path for every registered profile, and the
-rendered tables (which now execute through the facade) must agree with
-results recomputed through the legacy shim.
+rendered tables (which execute through the facade) must agree with
+results recomputed through the bare toolchain.
 """
 
 import pytest
 
-from repro.api import PROFILES, Session, all_profiles
-from repro.harness.driver import compile_and_run
+from repro.api import PROFILES, Session, Toolchain, all_profiles, as_profile
 
 CLEAN = r'''
 int main(void) {
@@ -31,9 +31,10 @@ int main(void) {
 '''
 
 
-def _legacy(source, profile):
-    return compile_and_run(source, softbound=profile.config,
-                           observers=profile.make_observers())
+def _legacy(source, profile=None):
+    profile = as_profile(profile)
+    return Toolchain(profile=profile.config).compile(source).run(
+        observers=profile.make_observers())
 
 
 @pytest.mark.parametrize("profile", all_profiles(), ids=lambda p: p.name)
@@ -65,9 +66,9 @@ class TestTablesRideTheFacade:
         from repro.workloads.attacks import all_attacks
 
         attack = next(iter(all_attacks()))
-        plain = compile_and_run(attack.source)
-        full = compile_and_run(attack.source, softbound=FULL_SHADOW)
-        store = compile_and_run(attack.source, softbound=STORE_SHADOW)
+        plain = _legacy(attack.source)
+        full = _legacy(attack.source, FULL_SHADOW)
+        store = _legacy(attack.source, STORE_SHADOW)
         assert attack_detection(attack.name) == (
             plain.attack_succeeded, full.detected_violation,
             store.detected_violation)
@@ -80,8 +81,8 @@ class TestTablesRideTheFacade:
 
         name = "uaf_read"
         attack = TEMPORAL_ATTACKS[name]
-        plain = compile_and_run(attack.source)
-        temporal = compile_and_run(attack.source, softbound=TEMPORAL_SHADOW)
+        plain = _legacy(attack.source)
+        temporal = _legacy(attack.source, TEMPORAL_SHADOW)
         exploited, _, detected = temporal_detection(name)
         assert exploited == bool(plain.attack_succeeded)
         assert detected == (temporal.trap is not None
@@ -91,7 +92,7 @@ class TestTablesRideTheFacade:
     def test_temporal_paper_block_is_policy_layer_invariant(self):
         """The lock-and-key rows of the temporal table are produced
         through the policy layer now; their content must still equal a
-        recomputation through the legacy shim for every attack, and any
+        recomputation through the bare toolchain for every attack, and any
         extension-policy rows must render strictly *below* the paper
         block (pre-existing output stays a byte-identical prefix)."""
         from repro.harness.tables import render_temporal, temporal_matrix
@@ -105,8 +106,7 @@ class TestTablesRideTheFacade:
             assert any(line.startswith(name)
                        for line in paper_block.splitlines())
         for name, (_, _, detected) in temporal_matrix().items():
-            legacy = compile_and_run(TEMPORAL_ATTACKS[name].source,
-                                     softbound=TEMPORAL_SHADOW)
+            legacy = _legacy(TEMPORAL_ATTACKS[name].source, TEMPORAL_SHADOW)
             assert detected == (legacy.trap is not None
                                 and legacy.trap.kind
                                 is TrapKind.TEMPORAL_VIOLATION)

@@ -79,11 +79,15 @@ class TestArtifacts:
 
 
 class TestEquivalenceWithLegacyDriver:
-    def test_compile_source_matches_compile_program(self):
-        from repro.harness.driver import compile_program
+    def test_from_config_matches_named(self):
+        """The removed compile shim's one-line replacement
+        (``from_config`` on a raw config) builds what the named
+        profile builds."""
+        from repro.api import ProtectionProfile
         from repro.softbound.config import FULL_SHADOW
 
-        legacy = compile_program(PROGRAM, softbound=FULL_SHADOW)
+        legacy = compile_source(
+            PROGRAM, profile=ProtectionProfile.from_config(FULL_SHADOW))
         facade = compile_source(PROGRAM, profile="spatial")
         assert legacy.pass_stats == facade.pass_stats
         assert legacy.check_opt_stats == facade.check_opt_stats

@@ -10,7 +10,7 @@ from repro.baselines import (
     find_wild_casts,
 )
 from repro.baselines.mscc import MSCC_CONFIG
-from repro.harness.driver import compile_and_run
+from repro.api import compile_source
 from repro.vm.errors import TrapKind
 
 HEAP_WRITE_OVERFLOW = r'''
@@ -71,7 +71,7 @@ int main(void) {
 
 
 def detected(source, checker_factory):
-    result = compile_and_run(source, observers=(checker_factory(),))
+    result = compile_source(source).run(observers=(checker_factory(),))
     return result.trap is not None and result.trap.kind is TrapKind.SPATIAL_VIOLATION
 
 
@@ -94,7 +94,7 @@ class TestValgrindSim:
         assert not detected(SUBOBJECT_OVERFLOW, ValgrindChecker)
 
     def test_no_false_positive_on_benign(self):
-        result = compile_and_run(BENIGN, observers=(ValgrindChecker(),))
+        result = compile_source(BENIGN).run(observers=(ValgrindChecker(),))
         assert result.trap is None
         assert result.exit_code == 45
 
@@ -116,40 +116,40 @@ class TestObjectTables:
 
     @pytest.mark.parametrize("factory", [JonesKellyChecker, MudflapChecker])
     def test_no_false_positive_on_benign(self, factory):
-        result = compile_and_run(BENIGN, observers=(factory(),))
+        result = compile_source(BENIGN).run(observers=(factory(),))
         assert result.trap is None
         assert result.exit_code == 45
 
     def test_jones_kelly_charges_splay_costs(self):
-        result = compile_and_run(BENIGN, observers=(JonesKellyChecker(),))
-        base = compile_and_run(BENIGN)
+        result = compile_source(BENIGN).run(observers=(JonesKellyChecker(),))
+        base = compile_source(BENIGN).run()
         assert result.stats.cost > base.stats.cost
 
     def test_mudflap_cache_hits(self):
         checker = MudflapChecker()
-        compile_and_run(BENIGN, observers=(checker,))
+        compile_source(BENIGN).run(observers=(checker,))
         assert checker.cache_hits > 0
 
 
 class TestMscc:
     def test_catches_heap_overflow(self):
-        result = compile_and_run(HEAP_WRITE_OVERFLOW, softbound=MSCC_CONFIG)
+        result = compile_source(HEAP_WRITE_OVERFLOW, MSCC_CONFIG).run()
         assert result.detected_violation
 
     def test_misses_subobject_overflow(self):
         """MSCC's best configuration has no sub-object bounds."""
-        result = compile_and_run(SUBOBJECT_OVERFLOW, softbound=MSCC_CONFIG)
+        result = compile_source(SUBOBJECT_OVERFLOW, MSCC_CONFIG).run()
         assert not result.detected_violation
 
     def test_costs_more_than_softbound(self):
         from repro.softbound.config import FULL_SHADOW
 
-        mscc = compile_and_run(BENIGN, softbound=MSCC_CONFIG)
-        softbound = compile_and_run(BENIGN, softbound=FULL_SHADOW)
+        mscc = compile_source(BENIGN, MSCC_CONFIG).run()
+        softbound = compile_source(BENIGN, FULL_SHADOW).run()
         assert mscc.stats.cost > softbound.stats.cost
 
     def test_behaviour_preserved_on_benign(self):
-        result = compile_and_run(BENIGN, softbound=MSCC_CONFIG)
+        result = compile_source(BENIGN, MSCC_CONFIG).run()
         assert result.trap is None and result.exit_code == 45
 
 

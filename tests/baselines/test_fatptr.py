@@ -19,7 +19,7 @@ from repro.baselines.fatptr import (
     WILD_FATPTR_CONFIG,
     InlineFatPointerMetadata,
 )
-from repro.harness.driver import compile_and_run
+from repro.api import compile_source
 from repro.softbound.config import FULL_SHADOW
 from repro.vm.costs import CostStats
 from repro.vm.errors import TrapKind
@@ -100,22 +100,22 @@ class TestFacilityUnit:
 
 class TestPointerSmashExperiment:
     def test_naive_inline_is_bypassed(self):
-        result = compile_and_run(POINTER_SMASH, softbound=NAIVE_FATPTR_CONFIG)
+        result = compile_source(POINTER_SMASH, NAIVE_FATPTR_CONFIG).run()
         assert result.trap is None        # the checker waved it through
         assert result.exit_code == 99     # target was overwritten
 
     def test_wild_tags_stop_the_forged_dereference(self):
-        result = compile_and_run(POINTER_SMASH, softbound=WILD_FATPTR_CONFIG)
+        result = compile_source(POINTER_SMASH, WILD_FATPTR_CONFIG).run()
         assert result.trap is not None
         assert result.trap.kind is TrapKind.SPATIAL_VIOLATION
 
     def test_disjoint_softbound_stops_it_too(self):
-        result = compile_and_run(POINTER_SMASH, softbound=FULL_SHADOW)
+        result = compile_source(POINTER_SMASH, FULL_SHADOW).run()
         assert result.trap is not None
         assert result.trap.kind is TrapKind.SPATIAL_VIOLATION
 
     def test_unprotected_attack_succeeds(self):
-        result = compile_and_run(POINTER_SMASH)
+        result = compile_source(POINTER_SMASH).run()
         assert result.trap is None
         assert result.exit_code == 99
 
@@ -134,15 +134,15 @@ class TestTransparencyAndCost:
 
     def test_both_variants_transparent_on_safe_code(self):
         for config in (NAIVE_FATPTR_CONFIG, WILD_FATPTR_CONFIG):
-            result = compile_and_run(self.SAFE, softbound=config)
+            result = compile_source(self.SAFE, config).run()
             assert result.trap is None
             assert result.exit_code == 11
 
     def test_wild_costs_more_than_naive_and_disjoint(self):
         """Section 3.4: 'all stores to a WILD object must update the
         metadata bits, adding runtime overhead'."""
-        naive = compile_and_run(self.SAFE, softbound=NAIVE_FATPTR_CONFIG)
-        wild = compile_and_run(self.SAFE, softbound=WILD_FATPTR_CONFIG)
-        disjoint = compile_and_run(self.SAFE, softbound=FULL_SHADOW)
+        naive = compile_source(self.SAFE, NAIVE_FATPTR_CONFIG).run()
+        wild = compile_source(self.SAFE, WILD_FATPTR_CONFIG).run()
+        disjoint = compile_source(self.SAFE, FULL_SHADOW).run()
         assert wild.stats.cost > naive.stats.cost
         assert wild.stats.cost > disjoint.stats.cost

@@ -9,7 +9,7 @@ import pytest
 
 from repro.fuzz.oracle import (ConfigMatrix, Discrepancy, RunConfig,
                                judge_program, plan_program)
-from repro.fuzz.pool import TaskOutcome
+from repro.harness.pool import TaskOutcome
 from repro.workloads.randprog import generate, generate_mutated
 
 

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro import CheckMode, MetadataScheme, SoftBoundConfig, compile_and_run, compile_program
+from repro import CheckMode, MetadataScheme, SoftBoundConfig, compile_source
 from repro.harness.stats import average, measure, overhead_matrix, pointer_fractions
 from repro.harness.tables import render_metadata_ablation, render_table1
 from repro.softbound.config import FIGURE2_CONFIGS, FULL_SHADOW
 
 
 def test_top_level_api_reexports():
-    result = compile_and_run("int main(void) { return 9; }")
+    result = compile_source("int main(void) { return 9; }").run()
     assert result.exit_code == 9
     config = SoftBoundConfig(mode=CheckMode.STORE_ONLY,
                              scheme=MetadataScheme.HASH_TABLE)
@@ -17,7 +17,7 @@ def test_top_level_api_reexports():
 
 
 def test_compiled_program_is_reusable():
-    compiled = compile_program(r'''
+    compiled = compile_source(r'''
     int counter;
     int main(void) { counter++; return counter; }
     ''')
@@ -27,7 +27,7 @@ def test_compiled_program_is_reusable():
 
 
 def test_compiled_program_accepts_input_per_run():
-    compiled = compile_program(r'''
+    compiled = compile_source(r'''
     int main(void) { char b[32]; gets(b); return (int)strlen(b); }
     ''')
     assert compiled.run(input_data=b"abc\n").exit_code == 3
@@ -79,12 +79,12 @@ def test_render_functions_produce_text():
 
 
 def test_entry_point_resolution_for_transformed_modules():
-    compiled = compile_program("int main(void) { return 4; }", softbound=FULL_SHADOW)
+    compiled = compile_source("int main(void) { return 4; }", FULL_SHADOW)
     assert "_sb_main" in compiled.module.functions
     assert compiled.run().exit_code == 4  # run() resolves main -> _sb_main
 
 
 def test_unknown_entry_raises():
-    compiled = compile_program("int main(void) { return 0; }")
+    compiled = compile_source("int main(void) { return 0; }")
     with pytest.raises(KeyError):
         compiled.run(entry="nonexistent")

@@ -5,7 +5,7 @@ from dataclasses import replace
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.harness.driver import compile_and_run, compile_program
+from repro.api import compile_source
 from repro.softbound.config import FULL_SHADOW
 from repro.workloads.randprog import generate
 
@@ -13,7 +13,7 @@ RAW = replace(FULL_SHADOW, optimize_checks=False)
 
 
 def dynamic_checks(source, config):
-    result = compile_and_run(source, softbound=config)
+    result = compile_source(source, config).run()
     assert result.trap is None
     return result.exit_code, result.stats.checks
 
@@ -64,7 +64,7 @@ class TestCrossBlockElimination:
             return 0;
         }
         """
-        result = compile_and_run(source, softbound=FULL_SHADOW)
+        result = compile_source(source, FULL_SHADOW).run()
         assert result.trap is not None
         assert result.trap.kind.value == "spatial_violation"
 
@@ -95,8 +95,8 @@ class TestCrossBlockElimination:
             return 0;
         }
         """
-        raw = compile_and_run(source, softbound=RAW)
-        cleaned = compile_and_run(source, softbound=FULL_SHADOW)
+        raw = compile_source(source, RAW).run()
+        cleaned = compile_source(source, FULL_SHADOW).run()
         assert raw.trap is not None and cleaned.trap is not None
         assert raw.trap.address == cleaned.trap.address
 
@@ -112,7 +112,7 @@ class TestCrossBlockElimination:
         """
 
         def static_checks(config):
-            compiled = compile_program(source, softbound=config)
+            compiled = compile_source(source, config)
             return sum(1 for i in compiled.module.functions["_sb_main"].instructions()
                        if i.opcode == "sb_check")
 
@@ -123,8 +123,8 @@ class TestCrossBlockElimination:
               suppress_health_check=[HealthCheck.too_slow])
     def test_property_elimination_is_transparent(self, seed):
         source = generate(seed).source
-        raw = compile_and_run(source, softbound=RAW)
-        cleaned = compile_and_run(source, softbound=FULL_SHADOW)
+        raw = compile_source(source, RAW).run()
+        cleaned = compile_source(source, FULL_SHADOW).run()
         assert raw.trap is None and cleaned.trap is None
         assert raw.exit_code == cleaned.exit_code
         assert raw.output == cleaned.output

@@ -1,7 +1,7 @@
 """Optimizer pass tests: mem2reg, constfold, dce, checkelim."""
 
 from repro.frontend.typecheck import parse_and_check
-from repro.harness.driver import compile_and_run, compile_program
+from repro.api import compile_source
 from repro.ir.verifier import verify_module
 from repro.lower.lowering import lower
 from repro.opt import checkelim, constfold, dce, mem2reg
@@ -48,8 +48,8 @@ class TestMem2Reg:
         }
         int main(void) { return f(10); }
         '''
-        unopt = compile_and_run(src, optimize=False)
-        opt = compile_and_run(src, optimize=True)
+        unopt = compile_source(src, optimize=False).run()
+        opt = compile_source(src, optimize=True).run()
         assert unopt.exit_code == opt.exit_code == 285
         assert opt.stats.memory_ops < unopt.stats.memory_ops
 
@@ -64,7 +64,7 @@ class TestMem2Reg:
             return total;
         }
         '''
-        assert compile_and_run(src).exit_code == 3
+        assert compile_source(src).run().exit_code == 3
 
 
 class TestConstFold:
@@ -85,7 +85,7 @@ class TestConstFold:
 
     def test_fold_preserves_wrapping(self):
         src = "int main(void) { return 2147483647 + 1 < 0; }"
-        assert compile_and_run(src).exit_code == 1
+        assert compile_source(src).run().exit_code == 1
 
 
 class TestDce:
@@ -123,8 +123,8 @@ class TestCheckElim:
             return *p;
         }
         '''
-        with_elim = compile_program(src, softbound=FULL_SHADOW)
-        without = compile_program(src, softbound=SoftBoundConfig(optimize_checks=False))
+        with_elim = compile_source(src, FULL_SHADOW)
+        without = compile_source(src, SoftBoundConfig(optimize_checks=False))
         def checks(compiled):
             return sum(1 for i in compiled.module.functions["_sb_main"].instructions()
                        if i.opcode == "sb_check")
@@ -140,7 +140,7 @@ class TestCheckElim:
             return (int)*(long *)p;
         }
         '''
-        result = compile_and_run(src, softbound=FULL_SHADOW)
+        result = compile_source(src, FULL_SHADOW).run()
         assert result.trap is None and result.exit_code == 2
 
     def test_safety_preserved_after_elimination(self):
@@ -153,7 +153,7 @@ class TestCheckElim:
             return 0;
         }
         '''
-        result = compile_and_run(src, softbound=FULL_SHADOW)
+        result = compile_source(src, FULL_SHADOW).run()
         assert result.detected_violation
 
 

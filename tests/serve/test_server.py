@@ -3,6 +3,7 @@ in-process daemon drill for routing/introspection endpoints."""
 
 import json
 import os
+import time
 import urllib.error
 import urllib.request
 
@@ -194,7 +195,10 @@ class TestDaemonEndToEnd:
         received = b""
         with socket.create_connection(("127.0.0.1", daemon.port),
                                       timeout=30) as sock:
-            sock.sendall(data)
+            try:
+                sock.sendall(data)
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # answered and closed before the rest was read
             if half_close:
                 sock.shutdown(socket.SHUT_WR)
             try:
@@ -221,6 +225,20 @@ class TestDaemonEndToEnd:
         assert self._raw_status(
             daemon, b"GET /healthz HTTP/1.1\r\nX-Big: "
                     + b"a" * (70 * 1024) + b"\r\n\r\n") == 431
+
+    def test_slowloris_client_is_408(self, daemon, monkeypatch):
+        from repro.serve import server
+
+        monkeypatch.setattr(server, "REQUEST_READ_SECONDS", 1.0)
+        started = time.monotonic()
+        assert self._raw_status(
+            daemon, b"GET /healthz HTTP/1.1\r\nHost: x\r\n") == 408
+        assert time.monotonic() - started < 10
+
+    def test_header_bomb_is_431(self, daemon):
+        headers = b"".join(b"X-H%d: v\r\n" % n for n in range(20_000))
+        assert self._raw_status(
+            daemon, b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n") == 431
 
     def test_unknown_path_404_and_bad_method_405(self, daemon):
         status, body, _ = self._post(daemon, "/nope", {"source": SOURCE})
@@ -257,3 +275,44 @@ class TestDaemonEndToEnd:
             origins.append(row["cache"]["origin"])
         assert origins[0] == "compile"
         assert set(origins[1:]) <= {"memory", "store"}
+
+
+@pytest.mark.skipif(os.name != "posix",
+                    reason="POSIX daemon integration drill")
+class TestTraceCrossesWorkers:
+    def test_cold_and_warm_run_leave_no_orphan_spans(self, tmp_path):
+        from repro.api.env import resolve_serve
+        from repro.obs.trace import disable_tracing, enable_tracing
+        from repro.serve.server import BackgroundDaemon
+
+        path = tmp_path / "trace.jsonl"
+        enable_tracing(path)
+        try:
+            config = resolve_serve(host="127.0.0.1", port=0, workers=1,
+                                   queue=4)
+            with BackgroundDaemon(config=config,
+                                  store_dir=str(tmp_path / "store")) as daemon:
+                origins = []
+                for _ in range(2):  # one cold, one warm
+                    request = urllib.request.Request(
+                        f"http://127.0.0.1:{daemon.port}/run",
+                        data=json.dumps({"source": SOURCE,
+                                         "profile": "spatial"}).encode(),
+                        method="POST")
+                    with urllib.request.urlopen(request, timeout=120) as resp:
+                        origins.append(json.loads(resp.read())["cache"]
+                                       ["origin"])
+        finally:
+            disable_tracing()
+        assert origins == ["compile", "memory"]
+        spans = [json.loads(line) for line in path.read_text().splitlines()]
+        ids = {span["span"] for span in spans}
+        assert [span for span in spans
+                if "parent" in span and span["parent"] not in ids] == []
+        requests = {span["span"] for span in spans
+                    if span["name"] == "serve.request"}
+        worker = [span for span in spans
+                  if span["name"] in ("serve.compile", "vm.run")]
+        assert len(requests) == 2 and len(worker) == 4
+        assert all(span["pid"] != os.getpid() and span["parent"] in requests
+                   for span in worker)

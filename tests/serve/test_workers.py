@@ -1,21 +1,17 @@
-"""Warm pool semantics against real worker subprocesses: results,
-deadline kills, crash respawn+retry, and the worker-side cache stack."""
+"""The serve drills on the pool's submit face, against real worker
+subprocesses: results, deadline kills, crash respawn+retry; and the
+worker-side compile path (the worker Session's cache stack)."""
 
+import hashlib
 import os
 
 import pytest
 
-from repro.api.profiles import as_profile
+from repro.api import Session, compile_source
+from repro.harness.pool import CRASH, OK, TIMEOUT, IsolatedPool
 from repro.serve.qos import DEFAULT_BUDGET
-from repro.serve.workers import (
-    CRASH,
-    OK,
-    TIMEOUT,
-    WarmPool,
-    compile_coalesced,
-    compiled_fingerprint,
-    execute_serve_request,
-)
+from repro.serve.workers import execute_serve_request, serve_task
+from repro.store.format import dumps_program
 
 pytestmark = pytest.mark.skipif(os.name != "posix",
                                 reason="POSIX subprocess pool drills")
@@ -78,33 +74,49 @@ class TestExecuteServeRequest:
 
 
 class TestCoalescedCompile:
+    """The single-flight entry point: a Session's store path."""
+
     def test_no_store_compiles(self):
-        compiled, origin, fingerprint = compile_coalesced(
-            SOURCE, as_profile("spatial"))
+        session = Session(store_dir="")
+        compiled, origin = session.lookup(SOURCE, "spatial")
+        fingerprint = session.fingerprint(compiled, SOURCE, "spatial")
         assert origin == "compile"
-        assert fingerprint == compiled_fingerprint(compiled)
+        assert fingerprint == hashlib.sha256(
+            dumps_program(compiled)).hexdigest()
         assert len(fingerprint) == 64
 
     def test_store_roundtrip(self, tmp_path):
-        from repro.store import ArtifactStore
-
-        store = ArtifactStore(str(tmp_path / "store"))
-        profile = as_profile("spatial")
-        cold, origin_cold, fp_cold = compile_coalesced(
-            SOURCE, profile, store=store)
-        warm, origin_warm, fp_warm = compile_coalesced(
-            SOURCE, profile, store=store)
+        store_dir = str(tmp_path / "store")
+        cold_session = Session(store_dir=store_dir)
+        cold, origin_cold = cold_session.lookup(SOURCE, "spatial")
+        fp_cold = cold_session.fingerprint(cold, SOURCE, "spatial")
+        warm_session = Session(store_dir=store_dir)
+        warm, origin_warm = warm_session.lookup(SOURCE, "spatial")
+        fp_warm = warm_session.fingerprint(warm, SOURCE, "spatial")
         assert (origin_cold, origin_warm) == ("compile", "store")
         # Both fingerprints are the store entry's payload digest, so
         # winner and loader agree byte-for-byte.
         assert fp_cold == fp_warm
         assert len(fp_cold) == 64
 
+    def test_compile_after_run_fingerprints_the_unrun_artifact(self):
+        # A no-store /run caches the program it then runs; a /compile
+        # of the same program answers from that cache, and its
+        # fingerprint is still the digest of the never-run artifact.
+        source = SOURCE + "/* fingerprint after run */\n"
+        run = execute_serve_request(payload(source=source))
+        assert run["origin"] == "compile"
+        again = execute_serve_request(payload(source=source, mode="compile"))
+        assert again["origin"] == "memory"
+        unrun = compile_source(source, "spatial")
+        assert again["row"]["output"] == hashlib.sha256(
+            dumps_program(unrun)).hexdigest()
+
 
 class TestWarmPool:
     def test_submit_resolves_ok(self):
-        with WarmPool(workers=1).start() as pool:
-            outcome = pool.submit(payload()).result(timeout=120)
+        with IsolatedPool(jobs=1).start() as pool:
+            outcome = pool.submit(serve_task(payload())).result(timeout=120)
             assert outcome.status == OK
             assert outcome.value["row"]["output"] == "sum=10\n"
             # The work ran in the worker subprocess, not in-process.
@@ -112,8 +124,8 @@ class TestWarmPool:
             assert outcome.value["pid"] in pool.worker_pids()
 
     def test_concurrent_submissions_all_resolve(self):
-        with WarmPool(workers=2).start() as pool:
-            futures = [pool.submit(payload(name=f"r{n}"))
+        with IsolatedPool(jobs=2).start() as pool:
+            futures = [pool.submit(serve_task(payload(name=f"r{n}")))
                        for n in range(6)]
             outcomes = [f.result(timeout=240) for f in futures]
             assert all(o.status == OK for o in outcomes)
@@ -121,29 +133,29 @@ class TestWarmPool:
             assert outputs == {"sum=10\n"}
 
     def test_hang_resolves_timeout_and_respawns(self):
-        with WarmPool(workers=1, deadline=3.0).start() as pool:
-            hung = pool.submit(payload(test_fault="hang"))
+        with IsolatedPool(jobs=1, task_timeout=3.0).start() as pool:
+            hung = pool.submit(serve_task(payload(test_fault="hang")))
             outcome = hung.result(timeout=60)
             assert outcome.status == TIMEOUT
             # The pool respawned the worker: the next request succeeds.
-            healed = pool.submit(payload()).result(timeout=120)
+            healed = pool.submit(serve_task(payload())).result(timeout=120)
             assert healed.status == OK
 
     def test_worker_death_retries_then_crash(self):
-        with WarmPool(workers=1).start() as pool:
+        with IsolatedPool(jobs=1).start() as pool:
             # The fault rides the payload, so the retry dies too:
             # after the single infra retry the outcome is CRASH.
             outcome = pool.submit(
-                payload(test_fault="exit")).result(timeout=120)
+                serve_task(payload(test_fault="exit"))).result(timeout=120)
             assert outcome.status == CRASH
             assert outcome.attempts == 2
-            healed = pool.submit(payload()).result(timeout=120)
+            healed = pool.submit(serve_task(payload())).result(timeout=120)
             assert healed.status == OK
 
     def test_closed_pool_rejects_submissions(self):
-        pool = WarmPool(workers=1).start()
+        pool = IsolatedPool(jobs=1).start()
         pool.close()
-        from repro.serve.workers import PoolClosed
+        from repro.harness.pool import PoolClosed
 
         with pytest.raises(PoolClosed):
-            pool.submit(payload())
+            pool.submit(serve_task(payload()))

@@ -17,7 +17,7 @@ an int silently reinterpreted) that otherwise go unnoticed entirely.
 
 import pytest
 
-from repro.harness.driver import compile_and_run
+from repro.api import compile_source
 from repro.softbound.config import CheckMode, SoftBoundConfig
 from repro.vm.errors import TrapKind
 
@@ -34,7 +34,7 @@ class TestCompatibleCallsStillWork:
         int twice(int x) { return 2 * x; }
         int main() { int (*f)(int) = twice; return f(21); }
         '''
-        result = compile_and_run(source, softbound=SIG_CONFIG)
+        result = compile_source(source, SIG_CONFIG).run()
         assert result.exit_code == 42
         assert result.trap is None
 
@@ -47,7 +47,7 @@ class TestCompatibleCallsStillWork:
             return f(a);
         }
         '''
-        result = compile_and_run(source, softbound=SIG_CONFIG)
+        result = compile_source(source, SIG_CONFIG).run()
         assert result.exit_code == 9
         assert result.trap is None
 
@@ -61,7 +61,7 @@ class TestCompatibleCallsStillWork:
             return f(a, 2, c);
         }
         '''
-        result = compile_and_run(source, softbound=SIG_CONFIG)
+        result = compile_source(source, SIG_CONFIG).run()
         assert result.exit_code == 8
         assert result.trap is None
 
@@ -75,7 +75,7 @@ class TestCompatibleCallsStillWork:
             return t.op(30, 12);
         }
         '''
-        result = compile_and_run(source, softbound=SIG_CONFIG)
+        result = compile_source(source, SIG_CONFIG).run()
         assert result.exit_code == 42
         assert result.trap is None
 
@@ -89,7 +89,7 @@ class TestIncompatibleCastsTrapAtCallSite:
             return f(77L);
         }
         '''
-        result = compile_and_run(source, softbound=SIG_CONFIG)
+        result = compile_source(source, SIG_CONFIG).run()
         assert trap_kind(result) is TrapKind.FUNCTION_POINTER_VIOLATION
         assert "signature mismatch" in result.trap.detail
 
@@ -104,9 +104,9 @@ class TestIncompatibleCastsTrapAtCallSite:
             return (int)f(&value);
         }
         '''
-        unchecked = compile_and_run(source, softbound=SoftBoundConfig())
+        unchecked = compile_source(source, SoftBoundConfig()).run()
         assert unchecked.trap is None  # silently returns an address
-        checked = compile_and_run(source, softbound=SIG_CONFIG)
+        checked = compile_source(source, SIG_CONFIG).run()
         assert trap_kind(checked) is TrapKind.FUNCTION_POINTER_VIOLATION
 
     def test_arity_mismatch_too_few_args(self):
@@ -117,7 +117,7 @@ class TestIncompatibleCastsTrapAtCallSite:
             return f(1, 2);
         }
         '''
-        result = compile_and_run(source, softbound=SIG_CONFIG)
+        result = compile_source(source, SIG_CONFIG).run()
         assert trap_kind(result) is TrapKind.FUNCTION_POINTER_VIOLATION
 
     def test_arity_mismatch_too_many_args(self):
@@ -128,7 +128,7 @@ class TestIncompatibleCastsTrapAtCallSite:
             return f(1, 2);
         }
         '''
-        result = compile_and_run(source, softbound=SIG_CONFIG)
+        result = compile_source(source, SIG_CONFIG).run()
         assert trap_kind(result) is TrapKind.FUNCTION_POINTER_VIOLATION
 
     def test_callee_that_never_dereferences_is_still_caught(self):
@@ -141,10 +141,10 @@ class TestIncompatibleCastsTrapAtCallSite:
             return f(123);
         }
         '''
-        unchecked = compile_and_run(source, softbound=SoftBoundConfig())
+        unchecked = compile_source(source, SoftBoundConfig()).run()
         assert unchecked.trap is None
         assert unchecked.exit_code == 7
-        checked = compile_and_run(source, softbound=SIG_CONFIG)
+        checked = compile_source(source, SIG_CONFIG).run()
         assert trap_kind(checked) is TrapKind.FUNCTION_POINTER_VIOLATION
 
     def test_store_only_mode_also_checks_signatures(self):
@@ -157,7 +157,7 @@ class TestIncompatibleCastsTrapAtCallSite:
         '''
         config = SoftBoundConfig(mode=CheckMode.STORE_ONLY,
                                  encode_fnptr_signature=True)
-        result = compile_and_run(source, softbound=config)
+        result = compile_source(source, config).run()
         assert trap_kind(result) is TrapKind.FUNCTION_POINTER_VIOLATION
 
 
@@ -177,7 +177,7 @@ class TestVarargsAndEdgeCases:
             return f(2, 20, 22);
         }
         '''
-        result = compile_and_run(source, softbound=SIG_CONFIG)
+        result = compile_source(source, SIG_CONFIG).run()
         assert result.trap is None
         assert result.exit_code == 42
 
@@ -189,7 +189,7 @@ class TestVarargsAndEdgeCases:
             return f(5);
         }
         '''
-        result = compile_and_run(source, softbound=SIG_CONFIG)
+        result = compile_source(source, SIG_CONFIG).run()
         assert trap_kind(result) is TrapKind.FUNCTION_POINTER_VIOLATION
 
     def test_direct_calls_are_not_signature_checked(self):
@@ -199,7 +199,7 @@ class TestVarargsAndEdgeCases:
         int add(int a, int b) { return a + b; }
         int main() { return add(40, 2); }
         '''
-        result = compile_and_run(source, softbound=SIG_CONFIG)
+        result = compile_source(source, SIG_CONFIG).run()
         assert result.exit_code == 42
 
     def test_flag_off_preserves_prototype_behaviour(self):
@@ -213,7 +213,7 @@ class TestVarargsAndEdgeCases:
             return f(77L);
         }
         '''
-        result = compile_and_run(source, softbound=SoftBoundConfig())
+        result = compile_source(source, SoftBoundConfig()).run()
         assert trap_kind(result) is TrapKind.SPATIAL_VIOLATION
 
     def test_signature_check_charges_cost(self):
@@ -226,7 +226,7 @@ class TestVarargsAndEdgeCases:
             return total;
         }
         '''
-        plain = compile_and_run(source, softbound=SoftBoundConfig())
-        checked = compile_and_run(source, softbound=SIG_CONFIG)
+        plain = compile_source(source, SoftBoundConfig()).run()
+        checked = compile_source(source, SIG_CONFIG).run()
         assert checked.exit_code == plain.exit_code == 90
         assert checked.stats.cost > plain.stats.cost

@@ -9,7 +9,7 @@ correct program.
 
 import pytest
 
-from repro.harness.driver import compile_and_run, compile_program
+from repro.api import compile_source
 from repro.softbound.config import (
     FULL_SHADOW,
     TEMPORAL_HASH,
@@ -68,7 +68,7 @@ class TestLockSpace:
 @pytest.mark.parametrize("name", list(TEMPORAL_ATTACKS))
 def test_attack_detected_with_temporal_checking(name):
     attack = TEMPORAL_ATTACKS[name]
-    result = compile_and_run(attack.source, softbound=TEMPORAL_SHADOW)
+    result = compile_source(attack.source, TEMPORAL_SHADOW).run()
     assert result.trap is not None, f"{name}: no trap"
     assert result.trap.kind is TrapKind.TEMPORAL_VIOLATION, result.trap
     assert result.trap.source == "softbound"
@@ -79,7 +79,7 @@ def test_attack_detected_with_temporal_checking(name):
 def test_attack_detected_under_hash_table_scheme(name):
     """The widened entry rides both disjoint facilities."""
     attack = TEMPORAL_ATTACKS[name]
-    result = compile_and_run(attack.source, softbound=TEMPORAL_HASH)
+    result = compile_source(attack.source, TEMPORAL_HASH).run()
     assert result.trap is not None and \
         result.trap.kind is TrapKind.TEMPORAL_VIOLATION
 
@@ -90,7 +90,7 @@ def test_attack_invisible_or_late_for_spatial_only(name):
     either the attack sails through, or (uaf_write) a downstream
     encoding check catches the consequence, not the dangling access."""
     attack = TEMPORAL_ATTACKS[name]
-    result = compile_and_run(attack.source, softbound=FULL_SHADOW)
+    result = compile_source(attack.source, FULL_SHADOW).run()
     assert result.trap is None or \
         result.trap.kind is not TrapKind.TEMPORAL_VIOLATION
 
@@ -98,7 +98,7 @@ def test_attack_invisible_or_late_for_spatial_only(name):
 def test_attacks_genuinely_work_unprotected():
     exploited = 0
     for attack in all_temporal_attacks():
-        result = compile_and_run(attack.source)
+        result = compile_source(attack.source).run()
         assert result.trap is None, f"{attack.name} crashed: {result.trap}"
         if result.attack_succeeded:
             exploited += 1
@@ -112,8 +112,8 @@ def test_attacks_genuinely_work_unprotected():
 @pytest.mark.parametrize("name", list(WORKLOADS))
 def test_workloads_run_identically_under_temporal(name):
     workload = WORKLOADS[name]
-    plain = compile_and_run(workload.source)
-    temporal = compile_and_run(workload.source, softbound=TEMPORAL_SHADOW)
+    plain = compile_source(workload.source).run()
+    temporal = compile_source(workload.source, TEMPORAL_SHADOW).run()
     assert temporal.trap is None, f"{name}: {temporal.trap}"
     assert temporal.exit_code == plain.exit_code == workload.expected_exit
     assert temporal.output == plain.output
@@ -121,8 +121,8 @@ def test_workloads_run_identically_under_temporal(name):
 
 def test_temporal_costs_more_than_spatial():
     source = WORKLOADS["treeadd"].source
-    spatial = compile_and_run(source, softbound=FULL_SHADOW)
-    temporal = compile_and_run(source, softbound=TEMPORAL_SHADOW)
+    spatial = compile_source(source, FULL_SHADOW).run()
+    temporal = compile_source(source, TEMPORAL_SHADOW).run()
     assert temporal.stats.temporal_checks > 0
     assert spatial.stats.temporal_checks == 0
     assert temporal.stats.cost > spatial.stats.cost
@@ -141,7 +141,7 @@ int main(void) {
     return 0;
 }
 '''
-    result = compile_and_run(source, softbound=TEMPORAL_SHADOW)
+    result = compile_source(source, TEMPORAL_SHADOW).run()
     assert result.trap.kind is TrapKind.SPATIAL_VIOLATION
 
 
@@ -154,7 +154,7 @@ int main(void) {
     return 0;
 }
 '''
-    result = compile_and_run(source, softbound=TEMPORAL_SHADOW)
+    result = compile_source(source, TEMPORAL_SHADOW).run()
     assert result.trap.kind is TrapKind.TEMPORAL_VIOLATION
 
 
@@ -173,7 +173,7 @@ int main(void) {
     return 0;
 }
 '''
-    result = compile_and_run(source, softbound=TEMPORAL_SHADOW)
+    result = compile_source(source, TEMPORAL_SHADOW).run()
     assert result.trap is not None
     assert result.trap.kind is TrapKind.TEMPORAL_VIOLATION
     # The trap is the free itself, not a bogus violation on b[1].
@@ -191,7 +191,7 @@ int main(void) {
     return 0;
 }
 '''
-    result = compile_and_run(source, softbound=TEMPORAL_SHADOW)
+    result = compile_source(source, TEMPORAL_SHADOW).run()
     assert result.trap is not None
     assert result.trap.kind is TrapKind.TEMPORAL_VIOLATION
 
@@ -206,7 +206,7 @@ int main(void) {
     return 0;
 }
 '''
-    result = compile_and_run(source, softbound=TEMPORAL_SHADOW)
+    result = compile_source(source, TEMPORAL_SHADOW).run()
     assert result.trap is not None
     assert result.trap.kind is TrapKind.TEMPORAL_VIOLATION
 
@@ -226,7 +226,7 @@ int main(void) {
     return 0;
 }
 '''
-    result = compile_and_run(source, softbound=TEMPORAL_SHADOW)
+    result = compile_source(source, TEMPORAL_SHADOW).run()
     assert result.trap is not None
     assert result.trap.kind is TrapKind.TEMPORAL_VIOLATION
 
@@ -241,7 +241,7 @@ int main(void) {
     return cell;
 }
 '''
-    result = compile_and_run(source, softbound=TEMPORAL_SHADOW)
+    result = compile_source(source, TEMPORAL_SHADOW).run()
     assert result.trap is None
     assert result.exit_code == 11
 

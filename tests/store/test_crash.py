@@ -137,16 +137,15 @@ class TestConcurrentWriters:
 
 def herd_snippet(tag):
     """Code for a herd member: single-flight compile of PROGRAM through
-    the serve coalescing path, printing origin + artifact fingerprint."""
+    a Session's store path (REPRO_STORE), printing origin + artifact
+    fingerprint."""
     return (
-        "import json, os\n"
-        "from repro.api.profiles import as_profile\n"
-        "from repro.serve.workers import compile_coalesced\n"
-        "from repro.store import ArtifactStore\n"
+        "import json\n"
+        "from repro.api import Session\n"
         f"source = {PROGRAM!r}\n"
-        "store = ArtifactStore(os.environ['REPRO_STORE'])\n"
-        "compiled, origin, fp = compile_coalesced(\n"
-        "    source, as_profile('spatial'), store=store)\n"
+        "session = Session()\n"
+        "compiled, origin = session.lookup(source, 'spatial')\n"
+        "fp = session.fingerprint(compiled, source, 'spatial')\n"
         "print(json.dumps({'origin': origin, 'fp': fp,"
         f" 'tag': {tag!r}}}))\n"
     )

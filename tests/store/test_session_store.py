@@ -133,8 +133,8 @@ class TestBoundedSessionCache:
         first, second = self.sources(2)
         session.compile(first, profile="spatial")
         session.compile(second, profile="spatial")
-        session.compile(first, profile="spatial")
-        assert session._last_compile_origin == "compile"
+        _, origin = session.lookup(first, profile="spatial")
+        assert origin == "compile"
         assert session.cache_counters()["memory"]["evictions"] == 2
 
     def test_recency_refresh_on_hit(self, monkeypatch):
@@ -145,8 +145,8 @@ class TestBoundedSessionCache:
         session.compile(second, profile="spatial")
         session.compile(first, profile="spatial")  # refresh
         session.compile(third, profile="spatial")  # evicts `second`
-        session.compile(first, profile="spatial")
-        assert session._last_compile_origin == "memory"
+        _, origin = session.lookup(first, profile="spatial")
+        assert origin == "memory"
 
 
 class TestEnvResolution:

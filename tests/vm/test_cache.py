@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness.driver import compile_and_run
+from repro.api import compile_source
 from repro.softbound.config import MetadataScheme, SoftBoundConfig
 from repro.vm.cache import (
     CORE2_L1D,
@@ -179,7 +179,7 @@ int main() {
 class TestCacheObserver:
     def test_uninstrumented_run_counts_program_accesses(self):
         observer = CacheObserver()
-        result = compile_and_run(POINTER_CHASE, observers=[observer])
+        result = compile_source(POINTER_CHASE).run(observers=[observer])
         assert result.exit_code == 1
         report = observer.report()
         assert report.l1_prog.accesses > 100
@@ -190,8 +190,7 @@ class TestCacheObserver:
     def test_instrumented_run_counts_metadata_accesses(self, scheme):
         observer = CacheObserver()
         config = SoftBoundConfig(scheme=scheme)
-        result = compile_and_run(POINTER_CHASE, softbound=config,
-                                 observers=[observer])
+        result = compile_source(POINTER_CHASE, config).run(observers=[observer])
         assert result.exit_code == 1
         report = observer.report()
         assert report.l1_meta.accesses > 0
@@ -204,7 +203,7 @@ class TestCacheObserver:
         rates = {}
         for scheme in (MetadataScheme.HASH_TABLE, MetadataScheme.SHADOW_SPACE):
             observer = CacheObserver()
-            compile_and_run(POINTER_CHASE, softbound=SoftBoundConfig(scheme=scheme),
-                            observers=[observer])
+            compile_source(POINTER_CHASE, SoftBoundConfig(scheme=scheme)).run(
+                observers=[observer])
             rates[scheme] = observer.report().l1_meta.miss_rate
         assert rates[MetadataScheme.HASH_TABLE] >= rates[MetadataScheme.SHADOW_SPACE]

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.harness.driver import compile_and_run
+from repro.api import compile_source
 
 
 def run(source, **kwargs):
-    result = compile_and_run(source, **kwargs)
+    result = compile_source(source).run(**kwargs)
     assert result.trap is None, f"unexpected trap: {result.trap}"
     return result
 
@@ -280,13 +280,13 @@ def test_calloc_zeroes():
 
 
 def test_division_by_zero_traps():
-    result = compile_and_run("int main(void) { int z = 0; return 5 / z; }")
+    result = compile_source("int main(void) { int z = 0; return 5 / z; }").run()
     assert result.trap is not None
     assert result.trap.kind.value == "div_by_zero"
 
 
 def test_null_write_segfaults():
-    result = compile_and_run("int main(void) { int *p = NULL; *p = 1; return 0; }")
+    result = compile_source("int main(void) { int *p = NULL; *p = 1; return 0; }").run()
     assert result.trap is not None
     assert result.trap.kind.value == "segfault"
 
@@ -310,7 +310,7 @@ def test_gets_reads_program_input():
         return (int)strlen(buf);
     }
     '''
-    result = compile_and_run(src, input_data=b"hello\n")
+    result = compile_source(src).run(input_data=b"hello\n")
     assert result.exit_code == 5
 
 
@@ -344,7 +344,7 @@ def test_varargs_sum():
 
 
 def test_exit_code_propagates():
-    result = compile_and_run("int main(void) { exit(7); return 0; }")
+    result = compile_source("int main(void) { exit(7); return 0; }").run()
     assert result.exit_code == 7
 
 

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.harness.driver import compile_program
+from repro.api import compile_source
 from repro.softbound.config import SoftBoundConfig
 from repro.workloads.attacks import all_attacks
 from repro.workloads.bugbench import all_bugs
@@ -39,9 +39,9 @@ def behaviour(result):
 
 
 def assert_transparent(source, input_data=b""):
-    reference = compile_program(source, softbound=RAW)
+    reference = compile_source(source, RAW)
     spec = behaviour(reference.run(engine="interp", input_data=input_data))
-    optimized = compile_program(source, softbound=FULL_SHADOW)
+    optimized = compile_source(source, FULL_SHADOW)
     interp = behaviour(optimized.run(engine="interp", input_data=input_data))
     compiled = behaviour(optimized.run(engine="compiled", input_data=input_data))
     assert interp == spec

@@ -3,7 +3,7 @@ and behaves identically under SoftBound (the §6.3/§6.4 preconditions)."""
 
 import pytest
 
-from repro.harness.driver import compile_and_run
+from repro.api import compile_source
 from repro.softbound.config import FULL_SHADOW, STORE_SHADOW
 from repro.workloads.attacks import all_attacks
 from repro.workloads.bugbench import all_bugs
@@ -36,7 +36,7 @@ def test_four_bugbench_programs():
 @pytest.mark.parametrize("name", list(WORKLOADS), ids=list(WORKLOADS))
 def test_workload_checksum_stable(name):
     wl = WORKLOADS[name]
-    result = compile_and_run(wl.source)
+    result = compile_source(wl.source).run()
     assert result.trap is None
     assert result.exit_code == wl.expected_exit
 
@@ -46,7 +46,7 @@ def test_workload_identical_under_softbound(name):
     """Spot-check behavioural equivalence (the full 15x4 sweep runs in
     the Figure 2 benchmark)."""
     wl = WORKLOADS[name]
-    protected = compile_and_run(wl.source, softbound=FULL_SHADOW)
+    protected = compile_source(wl.source, FULL_SHADOW).run()
     assert protected.trap is None, protected.trap
     assert protected.exit_code == wl.expected_exit
 
@@ -62,31 +62,31 @@ def test_olden_analogues_are_pointer_heavy():
     for wl in all_workloads():
         if wl.suite != "olden":
             continue
-        result = compile_and_run(wl.source)
+        result = compile_source(wl.source).run()
         assert result.stats.pointer_memory_op_fraction > 0.10, wl.name
 
 
 def test_scalar_spec_analogues_have_no_pointer_traffic():
     for name in ("go", "lbm", "hmmer", "compress", "ijpeg"):
-        result = compile_and_run(WORKLOADS[name].source)
+        result = compile_source(WORKLOADS[name].source).run()
         assert result.stats.pointer_memory_op_fraction < 0.02, name
 
 
 @pytest.mark.parametrize("attack", all_attacks(), ids=lambda a: a.name)
 def test_attack_is_a_real_exploit(attack):
-    plain = compile_and_run(attack.source)
+    plain = compile_source(attack.source).run()
     assert plain.attack_succeeded, f"{attack.name} did not hijack control"
 
 
 @pytest.mark.parametrize("attack", all_attacks(), ids=lambda a: a.name)
 def test_attack_stopped_by_store_only(attack):
-    protected = compile_and_run(attack.source, softbound=STORE_SHADOW)
+    protected = compile_source(attack.source, STORE_SHADOW).run()
     assert protected.detected_violation
 
 
 def test_servers_have_realistic_request_streams():
     for server in all_servers():
-        plain = compile_and_run(server.source, input_data=server.request_stream)
+        plain = compile_source(server.source).run(input_data=server.request_stream)
         assert plain.trap is None
         for fragment in server.expected_output_fragments:
             assert fragment in plain.output
@@ -94,8 +94,8 @@ def test_servers_have_realistic_request_streams():
 
 def test_server_zero_false_positives_under_softbound():
     for server in all_servers():
-        plain = compile_and_run(server.source, input_data=server.request_stream)
-        protected = compile_and_run(server.source, softbound=FULL_SHADOW,
-                                    input_data=server.request_stream)
+        plain = compile_source(server.source).run(input_data=server.request_stream)
+        protected = compile_source(server.source, FULL_SHADOW).run(
+            input_data=server.request_stream)
         assert protected.trap is None
         assert protected.output == plain.output
