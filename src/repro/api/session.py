@@ -5,10 +5,10 @@ compiles keyed by ``(source, profile, optimization level)`` so repeated
 runs — overhead sweeps, detection matrices, servers replaying request
 streams — pay for each toolchain invocation once, and it exposes
 ``run_many`` batch execution that fans independent compile+run jobs out
-over worker processes via :mod:`repro.harness.parallel`, returning a
-:class:`~repro.api.reports.BatchReport` whose content is identical to a
-serial loop (every simulated machine is deterministic except for the
-host-wallclock field).
+over the process's warm worker pool (:func:`repro.harness.pool.run_tasks`),
+returning a :class:`~repro.api.reports.BatchReport` whose content is
+identical to a serial loop (every simulated machine is deterministic
+except for the host-wallclock field).
 
 The module-level :func:`run_source`/:func:`run_compiled` are the
 sessionless one-shot forms the harness and benchmarks use when caching
@@ -55,7 +55,10 @@ def run_compiled(compiled, profile=None, name="program", input_data=b"",
                  entry="main", engine=None, observers=(), **kwargs):
     """Run a :class:`~repro.api.toolchain.CompiledProgram` once under a
     profile's runtime observers; returns a
-    :class:`~repro.api.reports.RunReport`."""
+    :class:`~repro.api.reports.RunReport`.  The machine's memory image
+    is freed once the report is built: the machine, its libc, runtime
+    and engine refer to each other, so only the cycle collector would
+    free the image otherwise."""
     profile = as_profile(profile)
     run_observers = profile.make_observers() + tuple(observers)
     machine = compiled.instantiate(input_data=input_data,
@@ -81,6 +84,7 @@ def run_compiled(compiled, profile=None, name="program", input_data=b"",
     report = report_from_result(result, name=name, profile=profile.name,
                                 engine=machine.engine_name, compiled=compiled,
                                 wallclock_seconds=elapsed)
+    machine.memory.release()
     if obs_enabled():
         report.obs = obs_block()
     return report
@@ -140,10 +144,10 @@ _worker = None
 
 def worker_session(store_dir=None):
     """This process's worker-side :class:`Session` on ``store_dir``
-    (``None``: no store).  Pool and batch workers compile through it,
-    so a worker opens the store once, not per task, keeps one LRU, and
-    takes the store's single-flight lock on a cold key.  A task naming
-    another store replaces it."""
+    (``None``: no store).  Pool workers compile through it, so a worker
+    opens the store once, not per task, keeps one LRU (for serve
+    requests; batch items skip it), and takes the store's single-flight
+    lock on a cold key.  A task naming another store replaces it."""
     global _worker
     if _worker is None or _worker.env.store != (store_dir or None):
         _worker = Session(jobs=1, store_dir=store_dir or "")
@@ -151,18 +155,24 @@ def worker_session(store_dir=None):
 
 
 def execute_run_request(request):
-    """Compile and run one :class:`RunRequest` (the worker-process entry
-    point for the ``api_run`` parallel task kind) through the worker's
-    :func:`worker_session`, so batch workers share warm artifacts
-    across processes; a store that cannot even open degrades to a
-    plain compile."""
-    session = worker_session(request.store_dir)
-    compiled, origin = session.lookup(request.source, request.profile,
-                                      optimize=request.optimize,
-                                      verify=request.verify)
-    report = run_compiled(compiled, profile=request.profile,
-                          name=request.name, input_data=request.input_data,
-                          entry=request.entry, engine=request.engine)
+    """Compile and run one :class:`RunRequest` (the pool task of a
+    :meth:`Session.run_many` batch item, traced as one ``task.api_run``
+    span) through the store of the worker's :func:`worker_session`, so
+    batch workers share warm artifacts across processes; a store that
+    cannot even open degrades to a plain compile.  The worker's
+    in-process LRU is skipped: a warm worker outlives the submitting
+    session, and a batch must not widen that session's cache scope."""
+    from ..obs.trace import tracer
+
+    with tracer().span("task.api_run"):
+        session = worker_session(request.store_dir)
+        compiled, origin = session._compile_cold(
+            request.source, request.profile, request.optimize,
+            request.verify)
+        report = run_compiled(compiled, profile=request.profile,
+                              name=request.name,
+                              input_data=request.input_data,
+                              entry=request.entry, engine=request.engine)
     if session.store is not None:
         report.cache = {"origin": origin,
                         "store": session.store.stats.as_dict()}
@@ -332,14 +342,15 @@ class Session:
     def run_many(self, items, jobs=None, benchmark="session-batch",
                  metric="cost_units"):
         """Run a batch of :class:`RunRequest`\\ s (or ``(name, source,
-        profile)`` tuples / kwargs dicts), fanning out over worker
-        processes when ``jobs`` (or the session's resolved jobs) exceeds
-        one.  Results are returned in submission order inside a
+        profile)`` tuples / kwargs dicts), fanning out over the
+        process's warm worker pool (:func:`repro.harness.pool.run_tasks`)
+        when ``jobs`` (or the session's resolved jobs) exceeds one.
+        Results are returned in submission order inside a
         :class:`~repro.api.reports.BatchReport`; apart from host
         wallclock they are identical to a serial loop (deterministic
-        machines).  Workers recompute from source; the parent's compile
-        cache is untouched.  Run names must be unique — they key the
-        batch report."""
+        machines).  Workers compile through their own session and the
+        batch's store; the parent's compile cache is untouched.  Run
+        names must be unique — they key the batch report."""
         requests = [_as_request(item).resolved(self.optimize, self.verify,
                                                self.env.engine,
                                                store_dir=self.env.store)
@@ -354,8 +365,6 @@ class Session:
             raise ValueError(f"duplicate run names in batch: {duplicates}; "
                              f"reports are keyed by name")
         jobs = jobs if jobs is not None else self.env.jobs
-        from ..harness.parallel import run_tasks
-
         if jobs <= 1:
             # In-process serial path rides the session's compile cache.
             reports = []
@@ -370,8 +379,11 @@ class Session:
                 report.cache = dict(self.cache_counters(), origin=origin)
                 reports.append(report)
         else:
-            tasks = [("api_run", request) for request in requests]
-            reports = run_tasks(tasks, jobs)
+            from ..harness.pool import PoolTask, run_tasks
+
+            reports = run_tasks(
+                [PoolTask("repro.api.session:execute_run_request", (request,))
+                 for request in requests], jobs)
         profiles = {request.profile.name for request in requests}
         batch = BatchReport(
             benchmark=benchmark, metric=metric,

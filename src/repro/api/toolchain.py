@@ -93,9 +93,12 @@ class CompiledProgram:
         return machine
 
     def run(self, entry="main", input_data=b"", observers=(), **kwargs):
-        """Execute the program once and return an ExecutionResult."""
+        """Execute the program once and return an ExecutionResult; the
+        machine's memory image is freed before returning."""
         machine = self.instantiate(input_data=input_data, observers=observers, **kwargs)
-        return machine.run(entry=entry)
+        result = machine.run(entry=entry)
+        machine.memory.release()
+        return result
 
 
 class Toolchain:

@@ -1,18 +1,21 @@
 """Crash-isolated worker pool: the frame format, the worker loop and the
-pool, for the fuzz campaign and the serve daemon alike.
+pool, for the fuzz campaign, the serve daemon and batch evaluation
+(``Session.run_many``, ``repro tables``) alike.
 
-``ProcessPoolExecutor`` shares one result pipe across workers, which
-makes "this exact task hung/died" unattributable.  The fuzz campaign
-and the serve daemon both need that attribution — a program that
-wedges or kills its interpreter must become a per-task ``timeout`` or
-``crash`` verdict, never a wedged pool — so this pool runs one task at
-a time per worker over private pipes:
+An executor whose workers share one result pipe cannot say which task
+hung or died.  Every caller here needs that attribution — a program
+that wedges or kills its interpreter must become a per-task
+``timeout`` or ``crash`` verdict, never a wedged pool — so this pool
+runs one task at a time per worker over private pipes:
 
 * each worker is a ``python -m repro.harness.pool`` subprocess that
   imports the toolchain before reading its first frame (a respawned
   worker re-warms the same way), then speaks length-prefixed pickle
   frames on stdin/stdout; its own ``sys.stdout`` is re-routed to
-  stderr so stray prints can never corrupt framing;
+  stderr so stray prints can never corrupt framing; once a reply is
+  written it collects the young generations, so the task's cyclic
+  garbage is freed between tasks, not in a collector pause inside a
+  later one;
 * every task has a wallclock deadline; a worker that misses it is
   SIGKILLed, its slot respawns at once, and the task records
   ``timeout`` — never retried (hung programs also burn the VM
@@ -31,12 +34,23 @@ Two faces share one queue and one set of drain threads:
 task (the serve daemon, which calls :meth:`~IsolatedPool.start` first
 so every worker is up before it announces itself).
 
+:func:`run_tasks` is the batch helper for the evaluation matrix: it
+returns index-aligned *values*, runs in process at ``jobs <= 1``, and
+raises :class:`ParallelTaskError` naming the tasks that did not end
+``ok``.  Its batches go to one warm pool per process
+(:func:`shared_pool`), spawned on first use and reused while its width
+and the ``REPRO_*`` environment its workers were spawned with still
+match the caller's, so a batch pays no worker start-up once the pool
+is warm.
+
 Each task frame carries the submitting context's current span id, and
 the worker opens that task's spans under it, so a trace crosses the
 process boundary without orphans.
 """
 
+import atexit
 import concurrent.futures
+import gc
 import importlib
 import os
 import pickle
@@ -49,6 +63,7 @@ import time
 from dataclasses import dataclass, field
 from queue import Queue
 
+from ..obs.metrics import default_registry
 from ..obs.trace import tracer
 
 _HEADER = struct.Struct(">Q")
@@ -64,19 +79,48 @@ RETRIES = 1
 #: Pause before retry ``n`` is ``BACKOFF_SECONDS * n``.
 BACKOFF_SECONDS = 0.1
 
+#: Per-task wallclock deadline of a :func:`run_tasks` batch; generous
+#: because matrix tasks compile + simulate whole benchmarks.  Override
+#: with ``REPRO_TASK_TIMEOUT`` (seconds) or the ``task_timeout``
+#: argument.
+DEFAULT_TASK_TIMEOUT = 600.0
+
 
 class PoolClosed(RuntimeError):
     """Work offered to a closed pool (e.g. a daemon shutting down)."""
 
 
+class ParallelTaskError(RuntimeError):
+    """Raised by :func:`run_tasks` when tasks did not end ``ok``.
+
+    ``failures`` is a list of ``(index, task, reason)`` tuples — the
+    position in the submitted task list, the :class:`PoolTask`, and the
+    outcome's error (the worker-side exception, or a string saying what
+    happened) on the final attempt.
+    """
+
+    def __init__(self, failures):
+        self.failures = list(failures)
+        summary = "; ".join(f"task[{index}] {task.call}: {reason}"
+                            for index, task, reason in self.failures[:5])
+        extra = len(self.failures) - 5
+        if extra > 0:
+            summary += f"; (+{extra} more)"
+        super().__init__(
+            f"{len(self.failures)} parallel task(s) failed after "
+            f"retry: {summary}")
+
+
 @dataclass(frozen=True)
 class PoolTask:
     """One unit of isolated work: ``call`` is a ``module:function``
-    path resolved inside the worker; args/kwargs must be picklable."""
+    path resolved inside the worker; args/kwargs must be picklable.
+    A task with hashable args hashes (``kwargs`` stays out of the
+    hash), so it can key a memo of its value."""
 
     call: str
     args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
+    kwargs: dict = field(default_factory=dict, hash=False)
     #: Per-task wallclock deadline override (seconds), else pool default.
     timeout: float = None
 
@@ -181,6 +225,13 @@ def worker_main():
         except Exception as error:
             write_frame(frames, (task_id, ERROR, RuntimeError(
                 f"unpicklable task result: {error}")))
+        # A finished machine's engine, libc and runtime refer to each
+        # other, so only the collector frees them.  Freed here, after
+        # the reply, they never reach the old generation, whose full
+        # collections (tens of ms over a warm worker's heap) would
+        # otherwise stall a later task at random.
+        del reply
+        gc.collect(1)
 
 
 # -- the pool ------------------------------------------------------------
@@ -209,15 +260,21 @@ def _worker_env():
     return env
 
 
+def _repro_env(env):
+    """The ``REPRO_*`` part of ``env``: what a worker reads of it."""
+    return {key: value for key, value in env.items()
+            if key.startswith("REPRO_")}
+
+
 class _Worker:
     """One subprocess + its read buffer.  Not thread-safe; owned by one
     drain thread."""
 
-    def __init__(self):
+    def __init__(self, env):
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro.harness.pool"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL, env=_worker_env(), close_fds=True)
+            stderr=subprocess.DEVNULL, env=env, close_fds=True)
         self._buffer = bytearray()
 
     @property
@@ -270,18 +327,22 @@ class IsolatedPool:
     returns a ``Future[TaskOutcome]``.  Neither raises for task-level
     failures — those are statuses.  Workers start on demand (or all at
     once with :meth:`start`) and stay warm until :meth:`close`; use the
-    pool as a context manager to close it.
+    pool as a context manager to close it.  Every worker, respawns
+    included, gets the environment the pool was constructed under
+    (``env``).
     """
 
     def __init__(self, jobs=2, task_timeout=30.0):
         self.jobs = max(int(jobs), 1)
         self.task_timeout = task_timeout
+        self.env = _worker_env()
         self._workers = [None] * self.jobs
         self._queue = Queue()
         self._threads = []
         self._lock = threading.Lock()
         self._closed = False
         self._busy = [False] * self.jobs
+        self._accepted = 0  # submitted, not yet resolved
         self._spawns = self._kills = self._respawns = 0
 
     # -- lifecycle -----------------------------------------------------
@@ -296,40 +357,48 @@ class IsolatedPool:
         """Spawn every worker now, not on first use; returns the pool."""
         for slot in range(self.jobs):
             self._worker_for(slot)
-        self._start_threads()
+        with self._lock:
+            self._start_threads()
         return self
 
     def _start_threads(self):
-        with self._lock:
-            if self._threads:
-                return
-            for slot in range(self.jobs):
-                thread = threading.Thread(
-                    target=self._drain, args=(slot,),
-                    name=f"isolated-pool-{slot}", daemon=True)
-                thread.start()
-                self._threads.append(thread)
+        """Start the drain threads once (the caller holds the lock)."""
+        if self._threads:
+            return
+        for slot in range(self.jobs):
+            thread = threading.Thread(
+                target=self._drain, args=(slot,),
+                name=f"isolated-pool-{slot}", daemon=True)
+            thread.start()
+            self._threads.append(thread)
 
     def close(self):
-        """Refuse new work, retire the drain threads and kill every
-        worker."""
-        self._closed = True
-        for _ in self._threads:
-            self._queue.put(None)
-        for thread in self._threads:
-            thread.join(timeout=5)
+        """Refuse new work, kill every worker and retire the drain
+        threads.  Every task already accepted still resolves: with its
+        outcome if it had finished, else with :class:`PoolClosed`."""
         with self._lock:
+            # Under the lock, so no task or retry can queue behind the
+            # sentinels below.
+            self._closed = True
+            threads = list(self._threads)
             for slot, worker in enumerate(self._workers):
                 if worker is not None:
                     worker.kill()
                     self._workers[slot] = None
+        for _ in threads:
+            self._queue.put(None)
+        for thread in threads:
+            thread.join(timeout=5)
 
     # -- introspection -------------------------------------------------
 
     @property
     def queue_depth(self):
-        """Tasks accepted but not yet picked up by a worker."""
-        return self._queue.qsize()
+        """Accepted tasks beyond the pool's width, which no worker can
+        be running yet.  Counted from submission to resolution, so it
+        does not depend on whether a drain thread has got round to
+        picking a task up (the serve daemon admits requests on it)."""
+        return max(self._accepted - self.jobs, 0)
 
     def worker_pids(self):
         """Live worker PIDs."""
@@ -351,12 +420,19 @@ class IsolatedPool:
     def submit(self, task):
         """Enqueue one :class:`PoolTask`; returns a
         ``Future[TaskOutcome]``."""
-        if self._closed:
-            raise PoolClosed("worker pool is closed")
-        self._start_threads()
         future = concurrent.futures.Future()
-        self._queue.put((future, task, tracer().current_span_id(), 0))
+        with self._lock:
+            if self._closed:
+                raise PoolClosed("worker pool is closed")
+            self._start_threads()
+            self._accepted += 1
+            self._queue.put((future, task, tracer().current_span_id(), 0))
+        future.add_done_callback(self._resolved)
         return future
+
+    def _resolved(self, future):
+        with self._lock:
+            self._accepted -= 1
 
     def map(self, tasks):
         """Execute ``tasks``; returns index-aligned
@@ -375,7 +451,7 @@ class IsolatedPool:
                 self._spawns += 1
                 if worker is not None:
                     self._respawns += 1
-                worker = self._workers[slot] = _Worker()
+                worker = self._workers[slot] = _Worker(self.env)
             return worker
 
     def _replace(self, slot):
@@ -391,7 +467,7 @@ class IsolatedPool:
                 return
             self._spawns += 1
             self._respawns += 1
-            self._workers[slot] = _Worker()
+            self._workers[slot] = _Worker(self.env)
 
     def _drain(self, slot):
         while True:
@@ -432,15 +508,140 @@ class IsolatedPool:
                                f"(worker killed and respawned)",
                 attempts=attempt + 1)
         except _WorkerDied:
+            if self._closed:
+                raise PoolClosed("worker pool closed mid-task") from None
             self._replace(slot)
             status, value = CRASH, "worker process died"
         if status == OK:
             return TaskOutcome(OK, value=value, attempts=attempt + 1)
         if attempt < RETRIES and not self._closed:
             time.sleep(BACKOFF_SECONDS * (attempt + 1))
-            self._queue.put((future, task, parent, attempt + 1))
-            return None
+            with self._lock:
+                if not self._closed:
+                    self._queue.put((future, task, parent, attempt + 1))
+                    return None
         return TaskOutcome(status, error=value, attempts=attempt + 1)
+
+
+# -- batches on the shared pool -------------------------------------------
+
+#: ``(pool, pid that spawned it)``: this process's warm batch pool.
+_shared = None
+_shared_lock = threading.Lock()
+
+_BATCH_CALL = "repro.harness.pool:_batch_call"
+
+
+def shared_pool(jobs):
+    """This process's warm batch pool, ``jobs`` wide, whose workers were
+    spawned with the caller's ``REPRO_*`` environment (store, trace
+    sink, plugins, metrics).  A pool of another width or environment is
+    closed and replaced; one inherited across ``fork`` belongs to the
+    parent and is left alone."""
+    global _shared
+    wanted = _repro_env(os.environ)
+    with _shared_lock:
+        if _shared is not None and _shared[1] == os.getpid():
+            pool = _shared[0]
+            if pool.jobs == jobs and _repro_env(pool.env) == wanted:
+                return pool
+            pool.close()
+        pool = IsolatedPool(jobs=jobs, task_timeout=DEFAULT_TASK_TIMEOUT)
+        _shared = (pool, os.getpid())
+        return pool
+
+
+@atexit.register
+def _close_shared_pool():
+    if _shared is not None and _shared[1] == os.getpid():
+        _shared[0].close()
+
+
+def _snapshot_delta(before, after):
+    """What one task added to a worker's registry.  Workers are reused
+    across tasks, so returning a raw snapshot would re-report earlier
+    tasks' counts; the delta merges cleanly."""
+    delta = {}
+    for key, value in after.items():
+        if key.endswith("_min") or key.endswith("_max"):
+            delta[key] = value
+            continue
+        grown = value - before.get(key, 0)
+        if grown:
+            delta[key] = grown
+    return delta
+
+
+def _batch_call(call, args, kwargs):
+    """Worker side of a :func:`run_tasks` task: ``(value, delta)``,
+    where ``delta`` is the metrics the task added when observability is
+    on in the worker, else ``None``."""
+    from ..obs import obs_enabled
+
+    function = resolve_call(call)
+    if not obs_enabled():
+        return function(*args, **kwargs), None
+    registry = default_registry()
+    before = registry.snapshot()
+    value = function(*args, **kwargs)
+    return value, _snapshot_delta(before, registry.snapshot())
+
+
+def run_tasks(tasks, jobs, task_timeout=None):
+    """Execute :class:`PoolTask`\\ s; returns their values, index-aligned
+    with ``tasks``.
+
+    At ``jobs <= 1`` (or for a single task) the calls run in this
+    process and their exceptions propagate as they are.  Otherwise they
+    run on :func:`shared_pool`, each under a wallclock deadline (the
+    task's own ``timeout``, else ``task_timeout``, ``REPRO_TASK_TIMEOUT``
+    or :data:`DEFAULT_TASK_TIMEOUT`) and the pool's one retry rule;
+    tasks that do not end ``ok`` raise :class:`ParallelTaskError` naming
+    every one of them.  With observability on, the workers run with
+    ``REPRO_METRICS`` set and the metrics each task added merge into
+    this process's registry, once per task.
+    """
+    from ..obs import obs_enabled
+
+    tasks = list(tasks)
+    registry = default_registry()
+    registry.counter("repro_pool_tasks_total").inc(len(tasks))
+    if jobs <= 1 or len(tasks) <= 1:
+        return [resolve_call(task.call)(*task.args, **task.kwargs)
+                for task in tasks]
+    if task_timeout is None:
+        task_timeout = float(os.environ.get("REPRO_TASK_TIMEOUT",
+                                            DEFAULT_TASK_TIMEOUT))
+    exported = obs_enabled() and not os.environ.get("REPRO_METRICS")
+    if exported:
+        os.environ["REPRO_METRICS"] = "1"
+    try:
+        pool = shared_pool(jobs)
+    finally:
+        if exported:
+            os.environ.pop("REPRO_METRICS", None)
+    outcomes = pool.map([
+        PoolTask(_BATCH_CALL, (task.call, task.args, task.kwargs),
+                 timeout=task_timeout if task.timeout is None
+                 else task.timeout)
+        for task in tasks])
+    values, failures = [], []
+    for index, (task, outcome) in enumerate(zip(tasks, outcomes)):
+        if outcome.attempts > 1:
+            registry.counter("repro_pool_retries_total").inc(
+                outcome.attempts - 1)
+        if outcome.ok:
+            value, delta = outcome.value
+            if delta:
+                registry.merge(delta)
+        else:
+            value = None
+            failures.append((index, task, outcome.error))
+        values.append(value)
+    if failures:
+        registry.counter("repro_pool_failures_total").inc(len(failures))
+        raise ParallelTaskError(failures)
+    return values
 
 
 if __name__ == "__main__":

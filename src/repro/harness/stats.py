@@ -3,17 +3,50 @@
 Centralizes "run workload W under configuration C and report the paper's
 metrics" so that Figure 1, Figure 2 and the Section 6.5 comparison all
 share one measurement path.  Results are memoized per process because
-the benchmark files ask for overlapping slices of the same sweep.
+the benchmark files ask for overlapping slices of the same sweep; the
+one memo of the evaluation matrix (:data:`MEMO`) lives here.
 """
 
-from dataclasses import dataclass, field
+import functools
+import inspect
+from dataclasses import dataclass
 
 from ..api import ProtectionProfile, run_source
 from ..softbound.config import FIGURE2_CONFIGS
 from ..vm.costs import overhead_percent
 from ..workloads.programs import WORKLOADS
+from .pool import PoolTask
 
-_MEASUREMENT_CACHE = {}
+#: The evaluation matrix's one memo: the :class:`PoolTask` that
+#: computes a value -> the value.  Serial renders fill it lazily;
+#: :func:`repro.harness.tables.prewarm` seeds it with worker results
+#: under the same keys.
+MEMO = {}
+
+
+def memoized(function):
+    """Memoize ``function`` in :data:`MEMO`, keyed by the pool task that
+    computes it.  ``function.task(*args)`` builds that task, with the
+    defaults filled in, so every spelling of one call shares an entry;
+    the task's path names the memoized function, so a worker running it
+    memoizes too."""
+    call = f"{function.__module__}:{function.__name__}"
+    signature = inspect.signature(function)
+
+    def task(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return PoolTask(call, bound.args)
+
+    @functools.wraps(function)
+    def memo(*args, **kwargs):
+        key = task(*args, **kwargs)
+        if key not in MEMO:
+            MEMO[key] = function(*key.args)
+        return MEMO[key]
+
+    memo.task = task
+    return memo
 
 
 @dataclass
@@ -39,47 +72,23 @@ class WorkloadMeasurement:
         return self.pointer_memory_ops / self.memory_ops
 
 
-def _cache_key(workload_name, config=None, observer_factory=None):
-    return (workload_name,
-            config.label if config is not None else
-            (observer_factory.__name__ if observer_factory else "baseline"),
-            getattr(config, "variant", ""),
-            getattr(config, "optimize_checks", True),
-            getattr(config, "loop_optimize", True))
-
-
-def is_measurement_cached(workload_name, config=None, observer_factory=None):
-    return _cache_key(workload_name, config, observer_factory) in _MEASUREMENT_CACHE
-
-
-def seed_measurement(measurement, workload_name, config=None,
-                     observer_factory=None):
-    """Install an externally computed measurement (the ``--jobs``
-    process-pool fan-out seeds the per-process cache with worker
-    results; every machine is deterministic, so a worker's measurement
-    is bit-identical to one computed here)."""
-    _MEASUREMENT_CACHE[_cache_key(workload_name, config, observer_factory)] \
-        = measurement
-    return measurement
-
-
+@memoized
 def measure(workload_name, config=None, observer_factory=None):
     """Compile and run one workload under one configuration (memoized).
 
     ``config`` is a SoftBoundConfig or None; ``observer_factory`` builds a
     fresh baseline observer per run (observers carry per-run state).
     """
-    key = _cache_key(workload_name, config, observer_factory)
-    if key in _MEASUREMENT_CACHE:
-        return _MEASUREMENT_CACHE[key]
     wl = WORKLOADS[workload_name]
     profile = ProtectionProfile.from_config(config, observer_factory)
     result = run_source(wl.source, profile=profile, name=wl.name)
     stats = result.stats
-    m = WorkloadMeasurement(
+    return WorkloadMeasurement(
         name=wl.name,
         suite=wl.suite,
-        config_label=key[1],
+        config_label=(config.label if config is not None else
+                      observer_factory.__name__ if observer_factory
+                      else "baseline"),
         exit_code=result.exit_code,
         trap=result.trap,
         cost=stats.cost,
@@ -91,8 +100,6 @@ def measure(workload_name, config=None, observer_factory=None):
         metadata_stores=stats.metadata_stores,
         metadata_bytes=stats.metadata_bytes,
     )
-    _MEASUREMENT_CACHE[key] = m
-    return m
 
 
 def pointer_fractions():

@@ -7,14 +7,15 @@ comparable to the original.
 
 Every per-item computation (one workload×config measurement, one
 attack's detection triple, one BugBench quadruple, one server outcome)
-is memoized behind a small helper, and :func:`prewarm` can fill those
-memos in parallel via :mod:`repro.harness.parallel` (``--jobs N`` /
-``REPRO_JOBS`` on ``python -m repro tables``).  Rendering itself stays
-serial and consumes the memos in a fixed order, so the output is
-byte-identical whatever the worker count.
+is memoized in :data:`repro.harness.stats.MEMO` under the pool task
+that computes it, and :func:`prewarm` can fill that memo in parallel on
+the process's warm worker pool (``--jobs N`` / ``REPRO_JOBS`` on
+``python -m repro tables``).  Rendering itself stays serial and
+consumes the memo in a fixed order, so the output is byte-identical
+whatever the worker count.
 """
 
-from ..api import run_source
+from ..api import resolve_jobs, run_source
 from ..baselines.capabilities import capability_matrix
 from ..baselines.mscc import MSCC_CONFIG
 from ..softbound.config import FIGURE2_CONFIGS, FULL_SHADOW, STORE_SHADOW
@@ -24,89 +25,64 @@ from ..workloads.bugbench import all_bugs
 from ..workloads.programs import WORKLOADS
 from ..workloads.servers import all_servers
 from ..workloads.temporal_attacks import all_temporal_attacks
-from . import stats, temporal
-from .parallel import resolve_jobs, run_tasks
-from .stats import average, measure, overhead_matrix, pointer_fractions
-
-#: Per-item result memos, seeded either lazily (serial render) or by
-#: the parallel prewarm.  Keyed by item name (plus config label where
-#: the item is per-configuration).
-_ATTACK_CACHE = {}
-_BUG_CACHE = {}
-_SERVER_CACHE = {}
-_SERVER_PLAIN_CACHE = {}
-_TEMPORAL_CACHE = {}
+from . import temporal
+from .pool import run_tasks
+from .stats import (MEMO, average, measure, memoized, overhead_matrix,
+                    pointer_fractions)
 
 
+@memoized
 def attack_detection(name):
     """``(exploited, detected_full, detected_store)`` for one Wilander
     attack (memoized)."""
-    cached = _ATTACK_CACHE.get(name)
-    if cached is None:
-        attack = next(a for a in all_attacks() if a.name == name)
-        plain = run_source(attack.source, name=name)
-        full = run_source(attack.source, profile="spatial", name=name)
-        store = run_source(attack.source, profile="spatial-store-only",
-                           name=name)
-        cached = (plain.attack_succeeded, full.detected_violation,
-                  store.detected_violation)
-        _ATTACK_CACHE[name] = cached
-    return cached
+    attack = next(a for a in all_attacks() if a.name == name)
+    plain = run_source(attack.source, name=name)
+    full = run_source(attack.source, profile="spatial", name=name)
+    store = run_source(attack.source, profile="spatial-store-only",
+                       name=name)
+    return (plain.attack_succeeded, full.detected_violation,
+            store.detected_violation)
 
 
+@memoized
 def bug_detection(name):
     """``(valgrind, mudflap, sb_store, sb_full)`` detection booleans for
     one BugBench program (memoized)."""
-    cached = _BUG_CACHE.get(name)
-    if cached is None:
-        bug = next(b for b in all_bugs() if b.name == name)
-        valgrind = run_source(bug.source, profile="valgrind", name=name)
-        mudflap = run_source(bug.source, profile="mudflap", name=name)
-        store = run_source(bug.source, profile="spatial-store-only",
-                           name=name)
-        full = run_source(bug.source, profile="spatial", name=name)
-        cached = tuple(r.detected_violation
-                       for r in (valgrind, mudflap, store, full))
-        _BUG_CACHE[name] = cached
-    return cached
+    bug = next(b for b in all_bugs() if b.name == name)
+    valgrind = run_source(bug.source, profile="valgrind", name=name)
+    mudflap = run_source(bug.source, profile="mudflap", name=name)
+    store = run_source(bug.source, profile="spatial-store-only", name=name)
+    full = run_source(bug.source, profile="spatial", name=name)
+    return tuple(r.detected_violation
+                 for r in (valgrind, mudflap, store, full))
 
 
+@memoized
 def temporal_attack_detection(name):
     """``(exploited, spatial_outcome, temporal_detected)`` for one
     temporal attack (memoized; see
     :func:`repro.harness.temporal.temporal_detection`)."""
-    cached = _TEMPORAL_CACHE.get(name)
-    if cached is None:
-        cached = temporal.temporal_detection(name)
-        _TEMPORAL_CACHE[name] = cached
-    return cached
+    return temporal.temporal_detection(name)
 
 
-def _server_plain(server):
-    """The unprotected reference run, once per server (shared by every
-    configuration's outcome)."""
-    cached = _SERVER_PLAIN_CACHE.get(server.name)
-    if cached is None:
-        cached = run_source(server.source, name=server.name,
-                            input_data=server.request_stream)
-        _SERVER_PLAIN_CACHE[server.name] = cached
-    return cached
+@memoized
+def _server_plain_output(name):
+    """The unprotected reference run's output, once per server (shared
+    by every configuration's outcome)."""
+    server = next(s for s in all_servers() if s.name == name)
+    return run_source(server.source, name=name,
+                      input_data=server.request_stream).output
 
 
+@memoized
 def server_outcome(name, config):
     """``(trap_str_or_None, output_identical)`` for one server under one
     configuration (memoized)."""
-    key = (name, config.label)
-    cached = _SERVER_CACHE.get(key)
-    if cached is None:
-        server = next(s for s in all_servers() if s.name == name)
-        plain = _server_plain(server)
-        protected = run_source(server.source, profile=config, name=name,
-                               input_data=server.request_stream)
-        cached = (str(protected.trap) if protected.trap is not None else None,
-                  protected.output == plain.output)
-        _SERVER_CACHE[key] = cached
-    return cached
+    server = next(s for s in all_servers() if s.name == name)
+    protected = run_source(server.source, profile=config, name=name,
+                           input_data=server.request_stream)
+    return (str(protected.trap) if protected.trap is not None else None,
+            protected.output == _server_plain_output(name))
 
 
 # -- parallel prewarm --------------------------------------------------------
@@ -117,87 +93,41 @@ SEC65_WORKLOADS = ("go", "compress", "bisort", "li", "treeadd")
 
 
 def _prewarm_tasks(only=None):
-    """The full task list an artifact (or all of them) needs, in a
-    fixed, deterministic order, minus what is already memoized."""
+    """The pool tasks an artifact (or all of them) needs, in a fixed,
+    deterministic order, without repeats or what is already memoized."""
 
     def wanted(*artifacts):
         return only is None or only in artifacts
 
     tasks = []
     if wanted("figure1", "figure2", "sec65"):
-        for name in WORKLOADS:
-            tasks.append(("measure", name, None))
+        tasks += [measure.task(name) for name in WORKLOADS]
     if wanted("figure2"):
-        for config in FIGURE2_CONFIGS:
-            for name in WORKLOADS:
-                tasks.append(("measure", name, config))
+        tasks += [measure.task(name, config) for config in FIGURE2_CONFIGS
+                  for name in WORKLOADS]
     if wanted("sec65"):
-        for name in SEC65_WORKLOADS:
-            tasks.append(("measure", name, FULL_SHADOW))
-            tasks.append(("measure", name, MSCC_CONFIG))
+        tasks += [measure.task(name, config) for name in SEC65_WORKLOADS
+                  for config in (FULL_SHADOW, MSCC_CONFIG)]
     if wanted("table3"):
-        for attack in all_attacks():
-            tasks.append(("attack", attack.name))
+        tasks += [attack_detection.task(a.name) for a in all_attacks()]
     if wanted("table4"):
-        for bug in all_bugs():
-            tasks.append(("bug", bug.name))
+        tasks += [bug_detection.task(b.name) for b in all_bugs()]
     if wanted("sec64"):
-        for server in all_servers():
-            for config in (FULL_SHADOW, STORE_SHADOW):
-                tasks.append(("server", server.name, config))
+        tasks += [server_outcome.task(s.name, config) for s in all_servers()
+                  for config in (FULL_SHADOW, STORE_SHADOW)]
     if wanted("temporal"):
-        for attack in all_temporal_attacks():
-            tasks.append(("temporal", attack.name))
-
-    def cached(task):
-        if task[0] == "measure":
-            return stats.is_measurement_cached(task[1], task[2])
-        if task[0] == "attack":
-            return task[1] in _ATTACK_CACHE
-        if task[0] == "bug":
-            return task[1] in _BUG_CACHE
-        if task[0] == "temporal":
-            return task[1] in _TEMPORAL_CACHE
-        return (task[1], task[2].label) in _SERVER_CACHE
-
-    # Deduplicate while keeping order (measure tasks repeat across
-    # artifact groups).  Measurement identity is stats' own cache key,
-    # so two configs that differ only in flags the label omits (the
-    # loop_optimize ablations) are never conflated.
-    seen = set()
-    unique = []
-    for task in tasks:
-        if task[0] == "measure":
-            key = ("measure",) + stats._cache_key(task[1], task[2])
-        else:
-            key = (task[0], task[1],
-                   getattr(task[2], "label", None) if len(task) > 2 else None)
-        if key in seen or cached(task):
-            continue
-        seen.add(key)
-        unique.append(task)
-    return unique
+        tasks += [temporal_attack_detection.task(a.name)
+                  for a in all_temporal_attacks()]
+    return [task for task in dict.fromkeys(tasks) if task not in MEMO]
 
 
 def prewarm(jobs=None, only=None):
     """Compute every result an artifact needs, fanning the independent
-    compile+run jobs over ``jobs`` processes, and seed the in-process
-    memos.  Returns the number of tasks computed."""
-    jobs = resolve_jobs(jobs)
+    compile+run jobs over ``jobs`` worker processes, and seed the memo.
+    Returns the number of tasks computed."""
     tasks = _prewarm_tasks(only)
-    results = run_tasks(tasks, jobs)
-    for task, result in zip(tasks, results):
-        kind = task[0]
-        if kind == "measure":
-            stats.seed_measurement(result, task[1], task[2])
-        elif kind == "attack":
-            _ATTACK_CACHE[task[1]] = result
-        elif kind == "bug":
-            _BUG_CACHE[task[1]] = result
-        elif kind == "temporal":
-            _TEMPORAL_CACHE[task[1]] = result
-        else:
-            _SERVER_CACHE[(task[1], task[2].label)] = result
+    for task, value in zip(tasks, run_tasks(tasks, resolve_jobs(jobs))):
+        MEMO[task] = value
     return len(tasks)
 
 
@@ -457,20 +387,17 @@ def render_temporal():
     return text
 
 
+@memoized
 def temporal_extension_rows():
     """``[(label, {attack: outcome})]`` contributed by registered
     policies that opt into the temporal table
     (:meth:`~repro.policy.base.CheckerPolicy.temporal_row`), memoized —
     each row costs one run per temporal attack."""
-    cached = _TEMPORAL_CACHE.get("__extensions__")
-    if cached is None:
-        from ..policy import all_policies
+    from ..policy import all_policies
 
-        cached = [row for row in (policy.temporal_row()
-                                  for policy in all_policies())
-                  if row is not None]
-        _TEMPORAL_CACHE["__extensions__"] = cached
-    return cached
+    return [row for row in (policy.temporal_row()
+                            for policy in all_policies())
+            if row is not None]
 
 
 def render_all():

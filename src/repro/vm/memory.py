@@ -95,6 +95,13 @@ class Memory:
 
     # -- segment management ------------------------------------------------
 
+    def release(self):
+        """Free every segment's bytes in place, keeping the layout (a
+        finished run's image; closures that captured a segment's buffer
+        see it emptied too)."""
+        for segment in self.segments:
+            segment.data.clear()
+
     def map_globals(self, size):
         self.globals_segment = Segment("globals", GLOBALS_BASE, max(size, 1))
         self.segments.append(self.globals_segment)

@@ -70,13 +70,6 @@ class TestResolveEnv:
         env = resolve_env(engine="compiled", jobs=2)
         assert (env.engine, env.jobs) == ("compiled", 2)
 
-    def test_harness_parallel_delegates_here(self, monkeypatch):
-        from repro.harness.parallel import resolve_jobs as harness_resolve
-
-        monkeypatch.setenv("REPRO_JOBS", "7")
-        assert harness_resolve() == 7
-        assert harness_resolve(2) == 2
-
     def test_machine_delegates_here(self, monkeypatch):
         from repro.api import compile_source
 

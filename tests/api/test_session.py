@@ -1,10 +1,14 @@
 """Session tests: compile caching, structured reports, batch execution."""
 
+import gc
 import pickle
+import tracemalloc
 
 import pytest
 
-from repro.api import BatchReport, RunReport, RunRequest, Session, run_source
+from repro.api import (BatchReport, RunReport, RunRequest, Session,
+                       compile_source, run_compiled, run_source)
+from repro.vm.memory import DEFAULT_HEAP_SIZE, DEFAULT_STACK_SIZE
 
 CLEAN = r'''
 int main(void) {
@@ -205,3 +209,25 @@ class TestRunSource:
         assert interp.engine == "interp"
         assert compiled.engine == "compiled"
         assert interp.stats.cost == compiled.stats.cost
+
+
+class TestImageRelease:
+    def test_finished_runs_do_not_keep_their_images(self):
+        """A finished machine is a reference cycle (machine, libc,
+        runtime, engine), so only the cycle collector frees it; the
+        one-shot run paths free its heap, stack and globals first."""
+        compiled = compile_source(CLEAN, "spatial")
+        run_compiled(compiled, "spatial")
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                run_compiled(compiled, "spatial")
+                compiled.run()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+            gc.collect()
+        assert held < DEFAULT_HEAP_SIZE + DEFAULT_STACK_SIZE

@@ -4,6 +4,9 @@ face in tests/serve/test_workers.py."""
 
 import json
 import os
+import sys
+import textwrap
+import threading
 import time
 
 import pytest
@@ -132,6 +135,74 @@ class TestLifecycle:
 
     def test_empty_batch(self, pool):
         assert pool.map([]) == []
+
+    def test_queue_depth_counts_tasks_beyond_the_width(self):
+        # The serve daemon admits on this right after a submit, before
+        # a drain thread may have picked the task up.
+        with IsolatedPool(jobs=2, task_timeout=15.0) as mine:
+            futures = [mine.submit(PoolTask(HANG, (3600.0,), timeout=1.0))
+                       for _ in range(3)]
+            assert mine.queue_depth == 1
+            outcomes = [future.result(timeout=30) for future in futures]
+        assert [outcome.status for outcome in outcomes] == ["timeout"] * 3
+
+    def test_accepted_count_survives_concurrent_submitters(self):
+        # More submitting threads than cores, with a short switch
+        # interval: a lost update would leave the count off zero.
+        with IsolatedPool(jobs=2, task_timeout=15.0) as mine:
+            def submit_batch():
+                futures = [mine.submit(PoolTask(ECHO, (n,)))
+                           for n in range(25)]
+                for future in futures:
+                    future.result(timeout=60)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=submit_batch)
+                           for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            # A future's done-callbacks run just after its waiters wake.
+            deadline = time.monotonic() + 5
+            while mine._accepted and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert mine._accepted == 0
+
+    def test_task_garbage_is_freed_before_the_next_task(self, tmp_path,
+                                                        monkeypatch):
+        # With automatic collection off in the worker, only the worker
+        # loop's own collection between tasks can free the cycle.
+        (tmp_path / "cyclehooks.py").write_text(textwrap.dedent("""
+            import gc
+            import weakref
+
+            class Node:
+                pass
+
+            def make_cycle():
+                global REF
+                gc.disable()
+                node = Node()
+                node.self = node
+                REF = weakref.ref(node)
+
+            def cycle_freed():
+                gc.enable()
+                return REF() is None
+        """))
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, [str(tmp_path), os.environ.get("PYTHONPATH")])))
+        with IsolatedPool(jobs=1, task_timeout=30.0) as mine:
+            made, freed = mine.map([PoolTask("cyclehooks:make_cycle"),
+                                    PoolTask("cyclehooks:cycle_freed")])
+        assert made.ok
+        assert freed.ok and freed.value is True
 
 
 class TestSeededBug:

@@ -4,11 +4,11 @@ worker to SIGKILL and recovered by requeueing."""
 
 import pytest
 
-from repro.harness.parallel import run_tasks
+from repro.harness.pool import PoolTask, run_tasks
 from repro.obs import enable_metrics
 from repro.obs.metrics import default_registry
 
-BUMP = ("py", "repro.harness.faults:bump_metric", 1)
+BUMP = PoolTask("repro.harness.faults:bump_metric", (1,))
 
 
 def bump_delta(before):
@@ -57,7 +57,7 @@ class TestSigkillRecovery:
         enable_metrics()
         marker = str(tmp_path / "kill-once")
         tasks = [BUMP,
-                 ("py", "repro.harness.faults:kill_self_once", marker),
+                 PoolTask("repro.harness.faults:kill_self_once", (marker,)),
                  BUMP, BUMP]
         results = run_tasks(tasks, jobs=2, task_timeout=60.0)
         assert results == [1, "recovered", 1, 1]

@@ -240,6 +240,38 @@ class TestDaemonEndToEnd:
         assert self._raw_status(
             daemon, b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n") == 431
 
+    def test_garbage_pipelined_after_a_request(self, daemon):
+        """A connection carries one request: bytes after it are never
+        read as a second one.  The first request gets its full 200, the
+        connection closes, and the next connection is served."""
+        import socket
+
+        for junk in (b"", b"\x00junk\xff\r\n\r\n", b"x" * 100_000):
+            received = b""
+            with socket.create_connection(("127.0.0.1", daemon.port),
+                                          timeout=30) as sock:
+                try:
+                    sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+                                 + junk)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # answered and closed before the junk was read
+                try:
+                    while True:
+                        chunk = sock.recv(65536)
+                        if not chunk:
+                            break  # the daemon closed the connection
+                        received += chunk
+                except ConnectionResetError:
+                    pass
+            head, _, body = received.partition(b"\r\n\r\n")
+            lines = head.decode().split("\r\n")
+            assert lines[0].split(" ", 2)[1] == "200", (len(junk), lines)
+            (length,) = [int(line.split(":", 1)[1]) for line in lines
+                         if line.lower().startswith("content-length:")]
+            assert len(body) == length
+            assert json.loads(body)["status"] == "ok"
+            assert self._get(daemon, "/healthz")[0] == 200
+
     def test_unknown_path_404_and_bad_method_405(self, daemon):
         status, body, _ = self._post(daemon, "/nope", {"source": SOURCE})
         assert status == 404
