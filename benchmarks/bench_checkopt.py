@@ -20,10 +20,10 @@ import sys
 
 from conftest import save_artifact
 
-from repro.harness.checkopt import (
+from repro.harness.stats import (
     LOOP_WORKLOADS,
+    checkopt_report,
     render_checkopt,
-    run_checkopt,
     write_report,
 )
 
@@ -35,13 +35,13 @@ def test_loop_passes_reduce_overhead():
     """Acceptance floor: on the array/loop workloads the loop passes
     must cut the geomean instrumented overhead by at least 15%, with
     behavioural equivalence asserted inside the measurement."""
-    report = run_checkopt(LOOP_WORKLOADS)
+    report = checkopt_report(LOOP_WORKLOADS)
     save_artifact("checkopt_loop_subset.txt", render_checkopt(report))
     assert report["loop_overhead_reduction_pct"] >= 15.0, report
 
 
 def main(argv):
-    report = run_checkopt()
+    report = checkopt_report()
     print(render_checkopt(report))
     write_report(report, BENCH_JSON)
     print(f"\nrecorded {BENCH_JSON}")

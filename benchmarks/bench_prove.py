@@ -22,16 +22,19 @@ import sys
 
 from conftest import save_artifact
 
-from repro.harness.checkopt import LOOP_WORKLOADS
-from repro.harness.prove import (
-    LOOP_DELETION_FLOOR_PCT,
+from repro.harness.stats import (
+    LOOP_WORKLOADS,
+    prove_report,
     render_prove,
-    run_prove,
     write_report,
 )
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_prove.json"
+
+#: Acceptance floor: dynamic sb_check executions deleted beyond -O1,
+#: aggregated over the loop workloads.
+LOOP_DELETION_FLOOR_PCT = 15.0
 
 
 def test_prove_deletes_loop_checks():
@@ -39,14 +42,14 @@ def test_prove_deletes_loop_checks():
     delete at least 15% of the dynamically executed sb_check instances
     that survive -O1 — with equivalence and certificate replay asserted
     inside the measurement."""
-    report = run_prove(LOOP_WORKLOADS)
+    report = prove_report(LOOP_WORKLOADS)
     save_artifact("prove_loop_subset.txt", render_prove(report))
     assert (report["loop_checks_deleted_beyond_o1_pct"]
             >= LOOP_DELETION_FLOOR_PCT), report
 
 
 def main(argv):
-    report = run_prove()
+    report = prove_report()
     print(render_prove(report))
     write_report(report, BENCH_JSON)
     print(f"\nrecorded {BENCH_JSON}")

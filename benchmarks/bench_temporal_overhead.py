@@ -22,9 +22,9 @@ import sys
 
 from conftest import save_artifact
 
-from repro.harness.temporal import (
+from repro.harness.stats import (
     render_temporal_overhead,
-    run_temporal_overhead,
+    temporal_overhead_report,
     write_report,
 )
 
@@ -50,14 +50,14 @@ def test_temporal_overhead_sane():
     """The temporal pass must stay transparent on correct programs
     (asserted inside the sweep) and its extra cost must stay a
     fraction, not a multiple, of the spatial-only build."""
-    report = run_temporal_overhead(QUICK_WORKLOADS)
+    report = temporal_overhead_report(QUICK_WORKLOADS)
     save_artifact("temporal_overhead_subset.txt",
                   render_temporal_overhead(report))
     assert report["geomean_temporal_extra_pct"] < 100.0, report
 
 
 def main(argv):
-    report = run_temporal_overhead()
+    report = temporal_overhead_report()
     print(render_temporal_overhead(report))
     write_report(report, BENCH_JSON)
     print(f"\nrecorded {BENCH_JSON}")

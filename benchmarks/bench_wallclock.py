@@ -21,11 +21,8 @@ import sys
 
 from conftest import save_artifact
 
-from repro.harness.wallclock import (
-    render_report,
-    run_benchmarks,
-    write_report,
-)
+from repro.harness.stats import write_report
+from repro.harness.wallclock import render_report, run_benchmarks
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_interp.json"

@@ -72,9 +72,17 @@
    respawn+retry, scrape ``/metrics``, and drain on SIGINT with exit
    130.
 
-The wall-clock gate compares the speedup *ratio* — not absolute
-seconds — so it is stable across machines of different absolute speed;
-the opt gate compares cost-model units, which are host-independent.
+Legs 2, 3, 4 and 10 compare their re-measured report with the recorded
+one through one function, :func:`repro.harness.stats.gate`: it
+summarizes the recorded rows and the re-measured rows the report's own
+way (the percent geomean for BENCH_checkopt and BENCH_temporal, the
+ratio geomean for BENCH_prove, the speedup geomean for BENCH_interp)
+over the leg's workload subset, then applies the leg's tolerance.  The
+three cost-model legs read one memoized evaluation sweep, so they share
+their uninstrumented and ``-O1`` runs.  The wall-clock gate compares
+the speedup *ratio* — not absolute seconds — so it is stable across
+machines of different absolute speed; the cost gates compare
+cost-model units, which are host-independent.
 
 Usage:  python scripts/ci.py [--skip-tests]
         python scripts/ci.py --api-smoke     # only the api-smoke leg
@@ -116,13 +124,24 @@ def run_tier1():
     return proc.returncode
 
 
+def _baseline_gate(leg, report, recorded_path, names, tolerance):
+    """Compare a re-measured report with its recorded baseline over the
+    leg's workload subset (:func:`repro.harness.stats.gate`); returns
+    the leg's exit status."""
+    from repro.harness.stats import gate
+
+    passed, text = gate(report, recorded_path, names, tolerance)
+    print(f"\n{text}")
+    if not passed:
+        return 1
+    print(f"{leg} ok")
+    return 0
+
+
 def run_perf_gate():
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    import math
-
     from repro.harness.wallclock import (
         QUICK_WORKLOADS,
-        load_report,
         render_report,
         run_benchmarks,
     )
@@ -130,79 +149,33 @@ def run_perf_gate():
     print("\n== wall-clock perf gate (quick subset) ==", flush=True)
     report = run_benchmarks(quick=True, repeats=2)
     print(render_report(report))
-    current = report["geomean_speedup"]
-    if not BENCH_JSON.exists():
-        print(f"\nno recorded baseline at {BENCH_JSON}; "
-              f"run `make bench` to create one. Current speedup: {current:.2f}x")
-        return 0
-    # Compare like against like: the recorded full-corpus report carries
-    # per-workload speedups, so rebuild the *quick-subset* geomean from
-    # it rather than gating the 4-workload measurement against the
-    # 15-workload mean.
-    recorded_report = load_report(BENCH_JSON)
-    recorded_speedups = [
-        recorded_report["workloads"][name]["speedup"]
-        for name in QUICK_WORKLOADS
-        if name in recorded_report.get("workloads", {})
-    ]
-    if recorded_speedups:
-        recorded = math.exp(
-            sum(map(math.log, recorded_speedups)) / len(recorded_speedups))
-        basis = f"quick subset of {BENCH_JSON.name}"
-    else:
-        recorded = recorded_report["geomean_speedup"]
-        basis = f"full-corpus geomean of {BENCH_JSON.name} (no quick overlap)"
-    floor = recorded * (1.0 - TOLERANCE)
-    print(f"\nrecorded ({basis}): {recorded:.2f}x   current: {current:.2f}x   "
-          f"floor (-{TOLERANCE:.0%}): {floor:.2f}x")
-    if current < floor:
-        print("PERF REGRESSION: compiled-engine speedup fell below the floor")
-        return 1
-    print("perf gate ok")
-    return 0
+    return _baseline_gate("perf gate", report, BENCH_JSON, QUICK_WORKLOADS,
+                          TOLERANCE)
 
 
 def run_opt_matrix_gate():
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.harness.checkopt import (
+    from repro.harness.stats import (
         LOOP_WORKLOADS,
-        load_report,
+        checkopt_report,
         render_checkopt,
-        run_checkopt,
     )
 
     print("\n== opt-matrix gate (loop passes off vs on, cost units) ==",
           flush=True)
-    report = run_checkopt(LOOP_WORKLOADS)
+    report = checkopt_report(LOOP_WORKLOADS)
     print(render_checkopt(report))
-    current = report["loop_geomean_overhead_on_pct"]
-    if not CHECKOPT_JSON.exists():
-        print(f"\nno recorded baseline at {CHECKOPT_JSON}; run "
-              f"`python benchmarks/bench_checkopt.py` to create one. "
-              f"Current optimized geomean overhead: {current:.2f}%")
-        return 0
-    recorded = load_report(CHECKOPT_JSON)["loop_geomean_overhead_on_pct"]
-    ceiling = recorded * (1.0 + OPT_TOLERANCE)
-    print(f"\nrecorded optimized geomean overhead: {recorded:.2f}%   "
-          f"current: {current:.2f}%   ceiling (+{OPT_TOLERANCE:.0%}): "
-          f"{ceiling:.2f}%")
-    if current > ceiling:
-        print("OPT REGRESSION: loop-pass instrumented overhead rose above "
-              "the recorded baseline ceiling")
-        return 1
-    print("opt-matrix gate ok")
-    return 0
+    return _baseline_gate("opt-matrix gate", report, CHECKOPT_JSON,
+                          LOOP_WORKLOADS, OPT_TOLERANCE)
 
 
 def run_temporal_gate():
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.harness.tables import render_temporal, temporal_matrix
-    from repro.harness.temporal import (
-        _geomean,
-        load_report,
+    from repro.harness.stats import (
         render_temporal_overhead,
-        run_temporal_overhead,
+        temporal_overhead_report,
     )
+    from repro.harness.tables import render_temporal, temporal_matrix
 
     print("\n== temporal gate (detection all-caught + overhead ceiling) ==",
           flush=True)
@@ -214,38 +187,11 @@ def run_temporal_gate():
     if missed:
         print(f"TEMPORAL REGRESSION: attacks not detected: {missed}")
         return 1
-    report = run_temporal_overhead(TEMPORAL_GATE_WORKLOADS)
+    report = temporal_overhead_report(TEMPORAL_GATE_WORKLOADS)
     print()
     print(render_temporal_overhead(report))
-    current = report["geomean_temporal_pct"]
-    if not TEMPORAL_JSON.exists():
-        print(f"\nno recorded baseline at {TEMPORAL_JSON}; run "
-              f"`make bench-temporal` to create one. "
-              f"Current geomean overhead: {current:.2f}%")
-        return 0
-    # Compare like against like: rebuild the gate-subset geomean from
-    # the recorded full-corpus report.
-    recorded_report = load_report(TEMPORAL_JSON)
-    recorded_rows = [
-        recorded_report["workloads"][name]["temporal_overhead_pct"]
-        for name in TEMPORAL_GATE_WORKLOADS
-        if name in recorded_report.get("workloads", {})
-    ]
-    if recorded_rows:
-        recorded = _geomean(recorded_rows)
-        basis = f"gate subset of {TEMPORAL_JSON.name}"
-    else:
-        recorded = recorded_report["geomean_temporal_pct"]
-        basis = f"full-corpus geomean of {TEMPORAL_JSON.name}"
-    ceiling = recorded * (1.0 + TEMPORAL_TOLERANCE)
-    print(f"\nrecorded ({basis}): {recorded:.2f}%   current: {current:.2f}%   "
-          f"ceiling (+{TEMPORAL_TOLERANCE:.0%}): {ceiling:.2f}%")
-    if current > ceiling:
-        print("TEMPORAL REGRESSION: spatial+temporal overhead rose above "
-              "the recorded baseline ceiling")
-        return 1
-    print("temporal gate ok")
-    return 0
+    return _baseline_gate("temporal gate", report, TEMPORAL_JSON,
+                          TEMPORAL_GATE_WORKLOADS, TEMPORAL_TOLERANCE)
 
 
 #: Workloads the prove-smoke matrix sweeps over every O-level x engine
@@ -257,21 +203,20 @@ def run_prove_smoke():
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.api import compile_source
     from repro.fuzz.oracle import run_config
-    from repro.harness.checkopt import LOOP_WORKLOADS
-    from repro.harness.prove import load_report, render_prove, run_prove
+    from repro.harness.stats import LOOP_WORKLOADS, prove_report, render_prove
     from repro.prove import replay_certificate
     from repro.workloads.programs import WORKLOADS
 
     print("\n== prove-smoke (certificate replay, O-matrix identity, "
           "overhead gate) ==", flush=True)
 
-    # 1. Spatial corpus under -O2: run_prove asserts, per workload,
+    # 1. Spatial corpus under -O2: prove_report asserts, per workload,
     # that O0/O1/O2 match the uninstrumented baseline, that every
     # deleted check carries a certificate, and that every certificate
     # replays non-trapping against the formal semantics.  Any
     # counterexample surfaces as the AssertionError caught here.
     try:
-        report = run_prove(LOOP_WORKLOADS)
+        report = prove_report(LOOP_WORKLOADS)
     except AssertionError as error:
         print(f"PROVE SMOKE FAILURE: deleted-check counterexample — "
               f"{error}")
@@ -323,24 +268,8 @@ def run_prove_smoke():
 
     # 4. Overhead gate: the re-measured loop-subset -O2 geomean must
     # stay within PROVE_TOLERANCE of the recorded baseline.
-    current = report["loop_geomean_overhead_o2_pct"]
-    if not PROVE_JSON.exists():
-        print(f"\nno recorded baseline at {PROVE_JSON}; run "
-              f"`make bench-prove` to create one. Current -O2 geomean "
-              f"overhead: {current:.2f}%")
-        print("prove-smoke ok")
-        return 0
-    recorded = load_report(PROVE_JSON)["loop_geomean_overhead_o2_pct"]
-    ceiling = recorded * (1.0 + PROVE_TOLERANCE)
-    print(f"  recorded -O2 loop geomean overhead: {recorded:.2f}%   "
-          f"current: {current:.2f}%   ceiling (+{PROVE_TOLERANCE:.0%}): "
-          f"{ceiling:.2f}%")
-    if current > ceiling:
-        print("PROVE REGRESSION: -O2 instrumented overhead rose above "
-              "the recorded baseline ceiling")
-        return 1
-    print("prove-smoke ok")
-    return 0
+    return _baseline_gate("prove-smoke", report, PROVE_JSON, LOOP_WORKLOADS,
+                          PROVE_TOLERANCE)
 
 
 #: Workload the api-smoke leg pushes through every registered profile.
@@ -468,7 +397,8 @@ def run_obs_smoke():
     import tempfile
 
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.harness.wallclock import load_report, run_benchmarks
+    from repro.harness.stats import load_report
+    from repro.harness.wallclock import run_benchmarks
     from repro.obs.profiler import profile_source
     from repro.workloads.programs import WORKLOADS
 

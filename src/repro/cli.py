@@ -420,7 +420,8 @@ def _render_tables(name, stdout, jobs=None):
 
 
 def _run_bench(args, stdout):
-    from .harness.wallclock import render_report, run_benchmarks, write_report
+    from .harness.stats import write_report
+    from .harness.wallclock import render_report, run_benchmarks
 
     report = run_benchmarks(quick=args.quick, repeats=max(args.repeats, 1))
     stdout.write(render_report(report) + "\n")

@@ -291,6 +291,16 @@ class _Worker:
         except Exception:
             pass
 
+    def close_pipes(self):
+        """Close the frame pipes of a killed worker.  Only once no drain
+        thread can still be reading them: closing a pipe another thread
+        is in ``select`` on is undefined."""
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:
+                pipe.close()
+            except OSError:  # stdin's flush into the dead worker
+                pass
+
     def send(self, payload):
         try:
             write_frame(self.proc.stdin, payload)
@@ -381,14 +391,19 @@ class IsolatedPool:
             # sentinels below.
             self._closed = True
             threads = list(self._threads)
-            for slot, worker in enumerate(self._workers):
-                if worker is not None:
-                    worker.kill()
-                    self._workers[slot] = None
+            killed = [worker for worker in self._workers if worker is not None]
+            for worker in killed:
+                worker.kill()
+            self._workers = [None] * self.jobs
         for _ in threads:
             self._queue.put(None)
         for thread in threads:
             thread.join(timeout=5)
+        # A drain thread may have been reading a killed worker's pipe
+        # until it saw the EOF, so the pipes close only now.
+        if not any(thread.is_alive() for thread in threads):
+            for worker in killed:
+                worker.close_pipes()
 
     # -- introspection -------------------------------------------------
 
@@ -461,6 +476,7 @@ class IsolatedPool:
             worker = self._workers[slot]
             if worker is not None:
                 worker.kill()
+                worker.close_pipes()  # this slot's drain thread is ours
                 self._kills += 1
             if self._closed:
                 self._workers[slot] = None

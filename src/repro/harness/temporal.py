@@ -1,37 +1,17 @@
-"""Temporal-safety measurement: detection matrix and overhead sweep.
+"""Temporal-safety detection: the rows of the temporal detection table.
 
-Two products, both deterministic cost-model work:
-
-* :func:`temporal_detection` — one temporal attack's outcome triple
-  under (unprotected, spatial-only, spatial+temporal), the rows of the
-  temporal detection table (``python -m repro tables temporal``).
-* :func:`run_temporal_overhead` — the Figure 2-style overhead sweep
-  with temporal checking on top of spatial: per workload, the
-  instrumented overhead of spatial-only and spatial+temporal over the
-  unprotected baseline, with behavioural equivalence asserted inside
-  the measurement (a temporal false positive on a correct program
-  fails the sweep loudly).  Records ``BENCH_temporal.json`` in the
-  normalized ``bench-v2`` schema shared by every ``BENCH_*.json``
-  (workloads / metric / geomean / config — see
-  ``scripts/bench_diff.py``).
+:func:`temporal_detection` gives one temporal attack's outcome triple
+under (unprotected, spatial-only, spatial+temporal), the rows of
+``python -m repro tables temporal``; :func:`policy_temporal_detection`
+gives a registered policy's extension row.  The temporal overhead
+sweep (``BENCH_temporal.json``) is a view over the evaluation sweep:
+:func:`repro.harness.stats.temporal_overhead_report`.
 """
 
-import json
-import math
-
 from ..api import run_source
-from ..softbound.config import TEMPORAL_SHADOW
 from ..vm.errors import TrapKind
-from ..workloads.programs import WORKLOADS
 from ..workloads.temporal_attacks import TEMPORAL_ATTACKS
 
-
-def _geomean(values):
-    values = [max(v, 1e-9) for v in values]
-    return math.exp(sum(map(math.log, values)) / len(values)) if values else 0.0
-
-
-# -- detection ----------------------------------------------------------------
 
 def temporal_detection(name):
     """``(exploited, spatial_outcome, temporal_detected)`` for one
@@ -78,90 +58,3 @@ def policy_temporal_detection(profile_name):
         out[name] = (result.trap.kind.value if result.trap is not None
                      else "missed")
     return out
-
-
-# -- overhead -----------------------------------------------------------------
-
-def run_temporal_overhead(workload_names=None):
-    """Measure every workload unprotected vs spatial-only vs
-    spatial+temporal; returns the ``BENCH_temporal.json`` report dict.
-
-    Spatial and temporal runs must be behaviourally identical to the
-    baseline (same exit code and output, no trap): the temporal pass
-    may cost, never change, a correct program.
-    """
-    names = list(workload_names or WORKLOADS)
-    per_workload = {}
-    for name in names:
-        source = WORKLOADS[name].source
-        base = run_source(source, name=name)
-        spatial = run_source(source, profile="spatial", name=name)
-        temporal = run_source(source, profile="temporal", name=name)
-        for label, result in (("spatial", spatial), ("temporal", temporal)):
-            if result.trap is not None or result.exit_code != base.exit_code \
-                    or result.output != base.output:
-                raise AssertionError(
-                    f"{name}: behaviour diverged under {label} "
-                    f"instrumentation ({result.trap})")
-        spatial_pct = (spatial.stats.cost / base.stats.cost - 1.0) * 100.0
-        temporal_pct = (temporal.stats.cost / base.stats.cost - 1.0) * 100.0
-        extra_pct = (temporal.stats.cost / spatial.stats.cost - 1.0) * 100.0
-        per_workload[name] = {
-            "spatial_overhead_pct": round(spatial_pct, 3),
-            "temporal_overhead_pct": round(temporal_pct, 3),
-            "temporal_extra_pct": round(extra_pct, 3),
-            "temporal_checks": temporal.stats.temporal_checks,
-            "checks": temporal.stats.checks,
-            # The normalized per-workload headline (bench-v2 schema).
-            "value": round(temporal_pct, 3),
-        }
-
-    def geo(key):
-        return round(_geomean([row[key] for row in per_workload.values()]), 3)
-
-    report = {
-        "schema": "bench-v2",
-        "benchmark": "temporal-overhead",
-        "metric": "instrumented_overhead_pct",
-        "config": TEMPORAL_SHADOW.label,
-        "workloads": per_workload,
-        "geomean": geo("temporal_overhead_pct"),
-        "geomean_spatial_pct": geo("spatial_overhead_pct"),
-        "geomean_temporal_pct": geo("temporal_overhead_pct"),
-        "geomean_temporal_extra_pct": geo("temporal_extra_pct"),
-    }
-    return report
-
-
-def render_temporal_overhead(report):
-    lines = ["Temporal checking overhead: unprotected -> spatial (Full-"
-             "Shadow) -> spatial+temporal, cost-model units",
-             ""]
-    header = (f"{'workload':12s} {'spatial':>9s} {'temporal':>9s} "
-              f"{'extra':>8s} {'t-checks':>10s}")
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name, row in report["workloads"].items():
-        lines.append(
-            f"{name:12s} {row['spatial_overhead_pct']:8.1f}% "
-            f"{row['temporal_overhead_pct']:8.1f}% "
-            f"{row['temporal_extra_pct']:7.1f}% "
-            f"{row['temporal_checks']:10d}")
-    lines.append("")
-    lines.append(
-        f"geomean overhead: spatial {report['geomean_spatial_pct']:.1f}% -> "
-        f"spatial+temporal {report['geomean_temporal_pct']:.1f}% "
-        f"(+{report['geomean_temporal_extra_pct']:.1f}% on top of spatial)")
-    return "\n".join(lines)
-
-
-def write_report(report, path):
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_report(path):
-    with open(path) as handle:
-        return json.load(handle)

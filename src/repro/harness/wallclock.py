@@ -11,12 +11,11 @@ engine-vs-engine speedup whose geometric mean the perf gate tracks.
 
 ``benchmarks/bench_wallclock.py`` and ``python -m repro bench`` are thin
 wrappers; results are recorded in ``BENCH_interp.json`` at the repo
-root so the perf trajectory is visible PR over PR and CI can fail on
-regressions.
+root (:func:`repro.harness.stats.write_report`) so the perf trajectory
+is visible PR over PR and CI can fail on regressions
+(:func:`repro.harness.stats.gate`).
 """
 
-import json
-import math
 import time
 
 #: Subset used by CI and ``--quick``: two scalar-heavy and two
@@ -52,6 +51,7 @@ def run_benchmarks(names=None, repeats=2, quick=False):
     """
     from ..api import compile_source
     from ..workloads.programs import WORKLOADS
+    from .stats import geomean
 
     if names is None:
         names = tuple(QUICK_WORKLOADS) if quick else tuple(WORKLOADS)
@@ -81,7 +81,7 @@ def run_benchmarks(names=None, repeats=2, quick=False):
         entry["value"] = entry["speedup"]
         speedups.append(entry["speedup"])
         workloads[name] = entry
-    geomean = math.exp(sum(map(math.log, speedups)) / len(speedups))
+    mean = geomean(speedups)
     return {
         "schema": "bench-v2",
         "benchmark": "vm-engine-wallclock",
@@ -92,8 +92,8 @@ def run_benchmarks(names=None, repeats=2, quick=False):
         "repeats": repeats,
         "quick": bool(quick),
         "workloads": workloads,
-        "geomean": round(geomean, 3),
-        "geomean_speedup": round(geomean, 3),
+        "geomean": round(mean, 3),
+        "geomean_speedup": round(mean, 3),
     }
 
 
@@ -113,15 +113,3 @@ def render_report(report):
     lines.append("")
     lines.append(f"geometric-mean speedup: {report['geomean_speedup']:.2f}x")
     return "\n".join(lines)
-
-
-def write_report(report, path):
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_report(path):
-    with open(path) as handle:
-        return json.load(handle)

@@ -133,6 +133,24 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             mine.map([PoolTask(ECHO, (1,))])
 
+    def test_timeout_replacement_closes_the_killed_workers_pipes(self):
+        with IsolatedPool(jobs=1, task_timeout=15.0) as mine:
+            mine.map([PoolTask(ECHO, (1,))])
+            hung = mine._workers[0]
+            (outcome,) = mine.map([PoolTask(HANG, (3600.0,), timeout=0.5)])
+            assert outcome.status == "timeout"
+            assert mine._workers[0] is not hung
+            assert hung.proc.stdin.closed and hung.proc.stdout.closed
+
+    def test_close_closes_every_workers_pipes(self):
+        mine = IsolatedPool(jobs=2, task_timeout=15.0)
+        mine.map([PoolTask(ECHO, (index,)) for index in range(4)])
+        workers = [worker for worker in mine._workers if worker is not None]
+        assert workers
+        mine.close()
+        assert all(worker.proc.stdin.closed and worker.proc.stdout.closed
+                   for worker in workers)
+
     def test_empty_batch(self, pool):
         assert pool.map([]) == []
 
