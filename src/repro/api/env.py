@@ -23,10 +23,15 @@ DEFAULT_STORE = None
 def resolve_engine(flag=None):
     """Effective VM engine: ``flag`` if given, else ``REPRO_ENGINE``,
     else ``"compiled"``.  An unknown engine name — from either source —
-    raises ``ValueError`` so typos never silently fall back."""
+    raises :class:`~repro.api.profiles.UsageError` (a ``ValueError``)
+    naming its source, so typos never silently fall back."""
+    from .profiles import UsageError
+
     engine = flag or os.environ.get("REPRO_ENGINE") or DEFAULT_ENGINE
     if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+        source = "" if flag else " (from REPRO_ENGINE)"
+        raise UsageError(f"unknown engine {engine!r}{source}; choose from "
+                         f"{', '.join(ENGINES)}")
     return engine
 
 

@@ -59,14 +59,15 @@ def run_compiled(compiled, profile=None, name="program", input_data=b"",
     is freed once the report is built: the machine, its libc, runtime
     and engine refer to each other, so only the cycle collector would
     free the image otherwise."""
-    profile = as_profile(profile)
-    run_observers = profile.make_observers() + tuple(observers)
-    machine = compiled.instantiate(input_data=input_data,
-                                   observers=run_observers, engine=engine,
-                                   **kwargs)
     from ..obs import obs_block, obs_enabled
     from ..obs.trace import tracer
 
+    profile = as_profile(profile)
+    run_observers = profile.make_observers() + tuple(observers)
+    with tracer().span("vm.instantiate", program=name, profile=profile.name):
+        machine = compiled.instantiate(input_data=input_data,
+                                       observers=run_observers, engine=engine,
+                                       **kwargs)
     span = tracer().start_span("vm.run", program=name, profile=profile.name,
                                engine=machine.engine_name)
     start = time.perf_counter()

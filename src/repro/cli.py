@@ -525,6 +525,17 @@ def _dispatch(argv=None, stdout=None, stderr=None):
 
         enable_tracing(args.trace)
 
+    if args.command in ("run", "check", "profile"):
+        # Resolved before any compile, so a bad REPRO_ENGINE is a usage
+        # error like a bad --engine.
+        from .api import UsageError, resolve_engine
+
+        try:
+            args.engine = resolve_engine(args.engine)
+        except UsageError as error:
+            print(f"error: {error}", file=stderr)
+            return EX_USAGE
+
     if args.command == "profile":
         return _run_site_profile(args, stdout, stderr)
     if args.command == "profiles":

@@ -20,17 +20,24 @@ data and silently corrupts it — exactly like real hardware, which is what
 gives the paper's attack and bug-detection experiments their teeth.
 Only accesses that leave every mapped segment trap (simulated SIGSEGV).
 
+Each segment's bytes are a private anonymous host mapping
+(``mmap.MAP_PRIVATE``): the kernel supplies a zero page the first time
+a page is touched, so a fresh machine costs only the pages its run
+touches, not its full (by default 36 MiB) image, and
+:meth:`Memory.release` unmaps them.
+
 Hot-path design: segment resolution is an address-range dispatch (the
 three data regions occupy disjoint, ordered ranges) backed by a
 last-segment cache, and the scalar codec uses pre-built
 :class:`struct.Struct` instances unpacking straight out of the segment
-``bytearray`` — no per-access linear scan, no intermediate ``bytes``
-copy.  The closure-compiled engine binds the :meth:`scalar_reader` /
+mapping — no per-access linear scan, no intermediate ``bytes`` copy.
+The closure-compiled engine binds the :meth:`scalar_reader` /
 :meth:`scalar_writer` factories, which additionally keep a private
 per-closure segment cache (an instruction that repeatedly touches one
 array never re-resolves its segment).
 """
 
+import mmap
 import struct
 
 from .errors import Trap, TrapKind
@@ -68,7 +75,7 @@ class Segment:
     def __init__(self, name, base, size):
         self.name = name
         self.base = base
-        self.data = bytearray(size)
+        self.data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         self.end = base + size
 
     def contains(self, addr, size):
@@ -96,11 +103,11 @@ class Memory:
     # -- segment management ------------------------------------------------
 
     def release(self):
-        """Free every segment's bytes in place, keeping the layout (a
-        finished run's image; closures that captured a segment's buffer
-        see it emptied too)."""
+        """Unmap every segment's pages, keeping the layout (a finished
+        run's image; closures that captured a segment's mapping see it
+        closed too).  Releasing twice is harmless."""
         for segment in self.segments:
-            segment.data.clear()
+            segment.data.close()
 
     def map_globals(self, size):
         self.globals_segment = Segment("globals", GLOBALS_BASE, max(size, 1))
@@ -255,8 +262,8 @@ class Memory:
     def read_cstring(self, addr, limit=1 << 20):
         """Read a NUL-terminated string; traps if it runs off the map.
 
-        Scans for the terminator inside each segment's ``bytearray``
-        (one ``find`` per segment) instead of one trapped read per byte;
+        Scans for the terminator inside each segment's mapping (one
+        ``find`` per segment) instead of one trapped read per byte;
         behaviour — including the trap raised for unterminated or
         unmapped strings — is identical to the byte-at-a-time loop.
         """
@@ -271,7 +278,7 @@ class Memory:
             off = cursor - segment.base
             # The terminator must appear before the limit is exhausted.
             cap = min(len(data), off + (limit - collected))
-            idx = data.find(0, off, cap)
+            idx = data.find(b"\0", off, cap)
             if idx >= 0:
                 pieces.append(bytes(data[off:idx]))
                 return b"".join(pieces)

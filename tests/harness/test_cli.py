@@ -115,6 +115,27 @@ class TestRun:
         assert main(["run", path, "--no-optimize"], out, err) == 6
 
 
+class TestEngineEnvironment:
+    @pytest.mark.parametrize("argv", [["run"], ["check"], ["profile"]])
+    def test_unknown_env_engine_is_a_usage_error(self, tmp_path, capture,
+                                                 monkeypatch, argv):
+        out, err = capture
+        monkeypatch.setenv("REPRO_ENGINE", "bogus")
+        path = write_program(tmp_path, SAFE_PROGRAM)
+        assert main(argv + [path], out, err) == EX_USAGE
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("error: ")
+        assert "REPRO_ENGINE" in line and "compiled, interp" in line
+        assert out.getvalue() == ""
+
+    def test_flag_overrides_a_bad_env_engine(self, tmp_path, capture,
+                                             monkeypatch):
+        out, err = capture
+        monkeypatch.setenv("REPRO_ENGINE", "bogus")
+        path = write_program(tmp_path, SAFE_PROGRAM)
+        assert main(["run", path, "--engine", "interp"], out, err) == 6
+
+
 class TestProfileFlag:
     def test_profile_selects_protection(self, tmp_path, capture):
         out, err = capture

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.api import compile_source, run_compiled
 from repro.obs.trace import (NULL_SPAN, NULL_TRACER, disable_tracing,
                              enable_tracing, tracer, tracing_enabled)
 
@@ -182,3 +183,18 @@ class TestSummary:
         assert summary["hot"]["count"] == 3
         assert summary["cold"]["count"] == 1
         assert summary["hot"]["total_s"] >= 0
+
+
+class TestRunSpans:
+    def test_instantiate_and_run_are_siblings_under_the_caller(self, tmp_path):
+        compiled = compile_source("int main(void) { return 3; }", "spatial")
+        path = str(tmp_path / "trace.jsonl")
+        enable_tracing(path)
+        with tracer().span("task") as task:
+            report = run_compiled(compiled, "spatial")
+        lines = {line["name"]: line for line in read_lines(path)}
+        assert set(lines) == {"task", "vm.instantiate", "vm.run"}
+        assert "parent" not in lines["task"]
+        assert lines["vm.instantiate"]["parent"] == task.span_id
+        assert lines["vm.run"]["parent"] == task.span_id
+        assert report.obs["trace"]["vm.instantiate"]["count"] == 1

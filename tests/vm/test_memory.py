@@ -1,7 +1,10 @@
 """Simulated memory unit tests."""
 
+import ctypes
+
 import pytest
 
+from repro.api import compile_source
 from repro.vm.errors import Trap, TrapKind
 from repro.vm.memory import HEAP_BASE, Memory
 
@@ -170,3 +173,74 @@ def test_read_cstring_nul_at_limit_boundary_is_unterminated(mem):
     with pytest.raises(Trap):
         mem.read_cstring(addr, limit=8)
     assert mem.read_cstring(addr, limit=9) == b"C" * 8
+
+
+# -- lazily materialized images -------------------------------------------------
+
+
+def resident_bytes():
+    """The process's resident set (``VmRSS``)."""
+    with open("/proc/self/status") as handle:
+        for line in handle:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError("no VmRSS line in /proc/self/status")
+
+
+def host_mapping(segment):
+    """The ``/proc/self/maps`` line whose range holds the segment's first
+    host byte."""
+    view = ctypes.c_char.from_buffer(segment.data)
+    address = ctypes.addressof(view)
+    del view  # an exported buffer would keep release() from unmapping
+    with open("/proc/self/maps") as handle:
+        for line in handle:
+            low, high = (int(end, 16) for end in line.split()[0].split("-"))
+            if low <= address < high:
+                return line
+    raise AssertionError(f"no mapping holds {address:#x}")
+
+
+def test_fresh_machine_costs_only_the_pages_it_touches():
+    compiled = compile_source("int main(void) { return 0; }", "spatial")
+    compiled.instantiate().memory.release()  # imports and templates warm
+    before = resident_bytes()
+    machine = compiled.instantiate()
+    grown = resident_bytes() - before
+    machine.memory.release()
+    assert grown < 4 << 20
+
+
+def test_segments_are_private_mappings():
+    """Private, so a forked child copies pages on write instead of
+    sharing them (``mmap``'s default is a shared ``/dev/zero`` map)."""
+    memory = Memory()
+    memory.map_globals(64)
+    for segment in memory.segments:
+        assert host_mapping(segment).split()[1] == "rw-p", segment.name
+
+
+def test_segment_edges_read_zero_and_round_trip():
+    memory = Memory()
+    for addr in (memory.heap.end - 8, memory.stack.base):
+        assert memory.read_int(addr, 8) == 0
+        memory.write_int(addr, 0x0123_4567_89AB_CDEF, 8)
+        assert memory.read_int(addr, 8) == 0x0123_4567_89AB_CDEF
+
+
+def test_first_byte_past_each_segment_traps():
+    memory = Memory()
+    memory.map_globals(64)
+    for segment in memory.segments:
+        with pytest.raises(Trap) as exc:
+            memory.read(segment.end, 1)
+        assert exc.value.kind is TrapKind.SEGFAULT
+        assert exc.value.address == segment.end
+
+
+def test_release_twice_is_harmless():
+    memory = Memory()
+    memory.map_globals(64)
+    memory.release()
+    memory.release()
+    assert all(segment.data.closed for segment in memory.segments)
