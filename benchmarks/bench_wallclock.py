@@ -30,7 +30,7 @@ BENCH_JSON = REPO_ROOT / "BENCH_interp.json"
 
 def test_wallclock_speedup():
     """Quick-subset gate: the compiled engine must stay clearly ahead of
-    the interpreter.  The floor is deliberately below the recorded ~3.2x
+    the interpreter.  The floor is deliberately below the recorded ~6x
     so shared-machine noise cannot flake the suite; the full-corpus
     number lives in BENCH_interp.json."""
     report = run_benchmarks(quick=True, repeats=2)

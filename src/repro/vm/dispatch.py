@@ -10,10 +10,10 @@ instr)``: return ``None`` to fall through to the next instruction, or a
 truthy value after setting ``frame.block``/``index`` for control
 transfers (exactly the discipline of the built-in handlers).
 
-The closure-compiled engine (:mod:`repro.vm.engine`) generates its own
-ops for the core opcodes from templates; an opcode registered here runs
-on it through the engine's ``interp`` template, which charges the same
-instruction-count bookkeeping (count, budget check, then the handler).
+The region-compiled engine (:mod:`repro.vm.engine`) generates its own
+code for the core opcodes from templates; an opcode registered here
+ends a region there and runs, every time, through its handler with the
+interpreter's bookkeeping (count, budget check, then the handler).
 Only straight-line opcodes can rely on that: a handler that transfers
 control traps on the compiled engine.
 

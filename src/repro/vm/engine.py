@@ -1,5 +1,5 @@
-"""Closure-compiled execution engine (threaded code), generated from
-one source template per opcode.
+"""Region-compiled execution engine, generated from one source template
+per opcode.
 
 The reference interpreter in :mod:`repro.vm.machine` pays, on every
 executed instruction: a dict dispatch, an unbound-method call, one
@@ -7,99 +7,128 @@ executed instruction: a dict dispatch, an unbound-method call, one
 for memory operations — a segment scan plus ``int.from_bytes``.  None of
 that work depends on runtime values, so this module hoists all of it to
 a one-time compilation pass, the classic closure-compilation /
-threaded-code technique from the interpreter-optimization literature:
+threaded-code technique from the interpreter-optimization literature,
+applied per *region* rather than per instruction:
 
-* every instruction becomes one specialized Python closure with its
-  operands pre-resolved (register uid / constant / resolved symbol
-  address), its cost units precomputed into numeric increments and its
-  branch targets pre-bound to flat op offsets;
-* dominant instruction pairs are fused into superinstructions
-  (``cmp``+``cbr``, ``gep``+``load``/``store``/``sb_check``,
-  ``sb_meta_load``+``sb_check``, ``sb_check``+``sb_temporal_check``)
-  that skip one dispatch and one register-file round-trip while
-  charging exactly the same statistics;
-* the dispatch loop is ``i = ops[i](frame, regs)``: each closure returns
-  the next opcode index (a compile-time constant for straight-line
-  code), so there is no per-step opcode lookup at all.
+* a **region** is a straight-line run of a block: it starts at the
+  block's first instruction or just after a ``call`` (the only points
+  where returns and ``longjmp`` resume) and ends with the block's
+  terminator or just before the next ``call``, ``ret`` or interp-only
+  opcode;
+* each region becomes one generated Python function with its operands
+  pre-resolved (register uid / constant / resolved symbol address), its
+  cost units summed into constants and its branch targets pre-bound to
+  flat op offsets; a value an earlier instruction of the region
+  computed is read from that instruction's local, and every register
+  write still reaches the register file;
+* ``call`` and ``ret`` (frame transfer) are one hand-written op each,
+  and an opcode a checker policy registers with only an interpreter
+  handler is a one-instruction region that always runs through that
+  handler (:func:`_interpret`) and is never compiled;
+* the dispatch loop is ``i = ops[i](frame, regs)``: each op returns the
+  next op's flat offset, so there is no per-step opcode lookup at all,
+  and one dispatch runs a whole region.
 
 **Templates.**  Each opcode's semantics is written once, in
-:data:`TEMPLATES`: the body of an ``op(frame, regs)`` closure as source
-text.  ``$name`` is an operand hole (the instruction attribute of that
-name) or a code literal the opcode's binder supplies (``$expr``).  A
-line prefixed ``?flag`` is kept only when the flag is set (``?!flag``:
-only when clear), and a line prefixed ``=`` is pure: when every operand
-of a standalone op is a constant, the pure lines run once at
-specialization time instead (constant folding).  An operand hole
-renders as an inlined register read (``regs[r_a]``; adjacent reads
-share one ``try`` whose ``except KeyError`` repeats them with
-``regs.get(r_a, 0)``), a bound constant, or a trapping accessor for an
-unresolved symbol;
-``int($a)`` drops the ``int()`` when the operand's static type rules
-out a float.
+:data:`TEMPLATES`: the body of its part of a region as source text.
+``$name`` is an operand hole (the instruction attribute of that name) or
+a code literal the opcode's binder supplies (``$expr``).  A line
+prefixed ``?flag`` is kept only when the flag is set (``?!flag``: only
+when clear); a line prefixed ``=`` is pure: when every operand of the
+instruction is a constant, the pure lines run once at specialization
+time instead (constant folding); a line prefixed ``+`` is a counter
+increment ``st.FIELD += AMOUNT`` that the region batches (below).  An
+operand hole renders as an inlined register read (``regs[r_a_0]``;
+adjacent reads share one ``try`` whose ``except KeyError`` repeats them
+with ``regs.get(r_a_0, 0)``), a bound constant, a trapping accessor for
+an unresolved symbol, or the local an earlier instruction of the region
+left the register's value in; ``int($a)`` drops the ``int()`` when the
+operand's static type rules out a float.  Every name an instruction's
+template binds or assigns gets the instruction's position as a suffix
+(``value_3``), so the concatenated templates never collide.
+
+**Counters and the budget.**  A region op tests the instruction budget
+once, ``st.instructions + len(region) <= limit``, and writes the count
+back at entry.  The ``+`` lines are removed from the body and their sums
+added once, as constants, before the region returns.  When the budget
+test fails the region runs through the interpreter's handlers one
+instruction at a time (:func:`_interpret`), so ``RESOURCE_LIMIT`` traps
+at the same instruction; when an exception leaves the region part way,
+one ``except`` clause maps the line it left at back to the instructions
+that started and the ``+`` lines that ran (:func:`_repair`), so every
+:class:`~repro.vm.costs.CostStats` counter is exact at any trap.  Nothing
+a region calls (memory, observers, the metadata facility) reads those
+counters mid-run, which is what makes the batching invisible.
 
 **Shapes.**  A binder per opcode turns an instruction on a machine into
-``(template, flags, bound values)``.  The template, its flags and its
-operand kinds form the *shape*; :func:`_generate` turns a shape into a
-closure factory with ``exec`` (the way :mod:`dataclasses` and
-``namedtuple`` build their methods), registers its source in
-:mod:`linecache` so tracebacks show the template line, and caches it
-per process in ``_SHAPES``.  Specializing an instruction is then one
-factory call with the bound values, so every generated op is plain
-straight-line Python.  A shape is generated once per process, lazily,
-the first time an instruction of that shape is specialized.
-
-**Fusion is concatenation.**  A fused pair's op is the first template,
-a second budget check, then the second template; an operand of the
-second half that the first half just computed is read from the first
-half's local instead of the register file.  The second instruction
-keeps its standalone op at its own index so call returns and
-``longjmp`` can still resume there.
+``(template, flags, bound values)``.  The templates, flags, operand
+kinds and batched amounts of a region's instructions form its *shape*;
+:func:`_generate` turns a shape into a closure factory with ``exec``
+(the way :mod:`dataclasses` and ``namedtuple`` build their methods).
+Shapes are cached per process in ``_SHAPES``, an LRU bounded to
+:data:`SHAPE_CACHE_ENTRIES`, and keep no copy of their source: a lazy
+:mod:`linecache` entry regenerates it when a traceback asks.
+Specializing a region is then one factory call with the bound values.
 
 **Profiling is a flag.**  The check-site counter is one ``?profile``
-line after the budget check of each profiled template (the same
-program point the interpreter records at), closing over the profile's
-``counts`` dict; with no profile attached the line is absent, so the
-disabled path builds no profiling closure at all.
-
-``call`` and ``ret`` stay hand-written (frame transfer).  An opcode a
-checker policy registers with only an interpreter handler runs through
-the ``interp`` template, which calls that handler.
+line at the start of each profiled template (the same program point the
+interpreter records at), closing over the profile's ``counts`` dict;
+with no profile attached the line is absent, so the disabled path builds
+no profiling closure at all.
 
 Compilation is two-level so its cost amortizes across runs: the
-machine-independent layout (flat offsets, fusion plan) is cached on each
+machine-independent layout (flat offsets, regions) is cached on each
 function and invalidated via its blocks' ``version`` stamps; the
 per-:class:`~repro.vm.machine.Machine` specialization happens lazily,
-one op at a time.  A straight-line op's first execution runs through
-the reference interpreter's handlers and its second specializes it:
-most ops of a short run (a freshly generated program) execute once, and
-interpreting an instruction once costs far less than specializing it,
-while an op in a loop pays one interpreted execution.
+one op at a time.  A region's first :data:`HOT_RUNS` - 1 executions run
+through the reference interpreter's handlers and the next one compiles
+it: most code of a short run (a freshly generated program) executes a
+few times at most, and interpreting a region a few times costs far less
+than generating and specializing it.
 
 Semantics are bit-identical to the reference interpreter — execution
 order, trap kinds/addresses/messages and every
 :class:`~repro.vm.costs.CostStats` counter, which
 ``tests/vm/test_engine_equivalence.py`` pins over the full workload,
-attack and bug corpora.
+attack and bug corpora and ``tests/vm/test_budget_cuts.py`` at every
+instruction budget of several windows.
 """
 
 import linecache
 import re
 from functools import partial
+from itertools import count
 
 from ..ir.irtypes import I64
 from ..ir.values import Const, Register, SymbolRef
 from ..obs.profiler import site_of
+from ..store.lru import LRUCache
 from .costs import OP_COSTS
 from .dispatch import INTERP_HANDLERS
 from .errors import Trap, TrapKind, temporal_violation
 from .memory import _F64, _SCALAR_CODECS
 from .machine import (
+    INT_OPERATORS,
     RESOURCE_LIMIT_MSG as _RESOURCE_MSG,
     Frame,
-    Machine,
     _frame_layout,
     _operand_type,
 )
+
+#: A region's first ``HOT_RUNS - 1`` executions run through the
+#: interpreter's handlers and the next one compiles it.  Measured with
+#: perfbench on a 2-vCPU VM (see PERFORMANCE.md, "Engine architecture"):
+#: compiling at the first execution costs fresh-batch latency, at the
+#: second serve-warm tail latency (binding regions a fresh machine runs
+#: only a few times), and 16 serve-warm median latency (loops stay
+#: interpreted longer); 4 and 8 measured alike, and 4 is the smaller.
+HOT_RUNS = 4
+
+#: Bound on the per-process shape cache.  One pass over the corpus
+#: workload (15 programs x 5 compile cells) generates 463 shapes,
+#: so the bound holds a whole pass; past it the least recently used
+#: shape is dropped and regenerated if it is needed again.
+SHAPE_CACHE_ENTRIES = 1024
 
 _M64 = (1 << 64) - 1
 
@@ -114,10 +143,6 @@ _COST_RET = OP_COSTS["ret"]
 _COST_CALL = OP_COSTS["call"]
 _COST_CALL_ARG = OP_COSTS["call.per_arg"]
 _COST_FNPTR = OP_COSTS["sb.fnptr.check"]
-
-#: The integer ALU semantics are the interpreter's own table — shared,
-#: not copied, so the two engines cannot drift.
-_INT_FNS = Machine._INT_OPS
 
 #: Shared read-only vararg-metadata map for frames of non-variadic
 #: functions pushed by the specialized call path (never mutated: only
@@ -142,7 +167,7 @@ class ClosureEngine:
         """Drop machine-level specializations.  This is the ONLY way to
         re-translate code on a *live* engine (e.g. after attaching an
         observer): block ``version`` stamps invalidate the on-function
-        template consulted at compile time, but a function already in
+        layout consulted at compile time, but a function already in
         ``_code`` is never re-checked against them."""
         self._code.clear()
 
@@ -177,20 +202,28 @@ class ClosureEngine:
     # -- compilation --------------------------------------------------------
 
     def code_for(self, function):
-        """The op list for ``function`` on this machine.  Each slot starts
-        as a stub (:func:`_first_run`), so code a run never reaches, or
-        reaches once, is never specialized.
+        """The op list for ``function`` on this machine, one slot per
+        flat instruction offset.  A region's slot is its first
+        instruction's and starts as a stub that interprets the region
+        (:func:`_cold`); a call, ret, interp-only or sentinel slot
+        starts as a stub that specializes the op at its first
+        execution.  The other slots of a region are ``None``: nothing
+        resumes inside a region.
 
         The machine-level cache is validated once here, not per
         transition: IR rewrites happen before execution starts (the
         pipeline and transform bump block versions, which invalidates
-        the on-function template), and anything re-specializing a live
+        the on-function layout), and anything re-specializing a live
         machine goes through :meth:`invalidate`.
         """
-        ops = []
-        ops.extend(partial(_first_run, ops, i, make, instrs, self, function)
-                   for i, (make, instrs) in enumerate(
-                       _function_template(function)))
+        layout = _function_template(function)
+        ops = [None] * len(layout)
+        runs = [0] * len(layout)
+        for i, entry in enumerate(layout):
+            if isinstance(entry, _Region):
+                ops[i] = partial(_cold, ops, runs, i, entry, self, function)
+            elif entry is not None:
+                ops[i] = partial(_specialize, ops, i, entry, self, function)
         self._code[id(function)] = ops
         return ops
 
@@ -232,24 +265,16 @@ class ClosureEngine:
                 i = ops[i](frame, regs)
 
 
-def _first_run(ops, i, make, instrs, engine, function, frame, regs):
-    """Op ``i``'s first execution.  A straight-line op (``instrs`` given)
-    runs once through the reference interpreter's handlers — most ops
-    of a short run execute only once, and interpreting an instruction
-    costs a fraction of specializing it — and is specialized when it
-    runs again; any other op is specialized now."""
-    if instrs is None:
-        return _specialize(ops, i, make, engine, function, frame, regs)
-    ops[i] = partial(_specialize, ops, i, make, engine, function)
-    st = engine.stats
-    machine = engine.machine
-    for instr in instrs:
-        n = st.instructions + 1
-        st.instructions = n
-        if n > engine.limit:
-            raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-        INTERP_HANDLERS[instr.opcode](machine, frame, instr)
-    return i + len(instrs)
+def _cold(ops, runs, i, region, engine, function, frame, regs):
+    """A region's execution before it is hot: the first ``HOT_RUNS - 1``
+    run through the reference interpreter's handlers, the next one
+    compiles the region and runs the compiled op."""
+    seen = runs[i] + 1
+    if seen < HOT_RUNS:
+        runs[i] = seen
+        return _interpret(engine, region, frame, regs)
+    op = ops[i] = _bind_region(region, engine, function)
+    return op(frame, regs)
 
 
 def _specialize(ops, i, make, engine, function, frame, regs):
@@ -257,13 +282,56 @@ def _specialize(ops, i, make, engine, function, frame, regs):
     return op(frame, regs)
 
 
+def _interpret(engine, region, frame, regs):
+    """Run ``region`` one instruction at a time exactly as the reference
+    interpreter's loop does: count, budget test, handler.  Cold regions
+    run here, and so does a compiled region whose budget test failed, so
+    ``RESOURCE_LIMIT`` traps at the interpreter's instruction."""
+    st = engine.stats
+    machine = engine.machine
+    limit = engine.limit
+    frame.block = region.block  # unreachable reports it; br/cbr replace it
+    for instr in region.instrs:
+        n = st.instructions + 1
+        st.instructions = n
+        if n > limit:
+            raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
+        if INTERP_HANDLERS[instr.opcode](machine, frame, instr) is not None:
+            if instr.is_terminator:
+                return region.offsets[frame.block.label]
+            # An interp-only handler transferred control, which a
+            # straight-line region cannot mirror: failing loudly beats
+            # silently executing the wrong successor.
+            raise Trap(TrapKind.UNREACHABLE,
+                       f"opcode {instr.opcode!r} transfers control, which "
+                       f"the compiled engine's interpreter-handler adapter "
+                       f"cannot follow")
+    return region.nxt
+
+
 # ---------------------------------------------------------------------------
 # Function layout (machine-independent): each function's blocks are laid
-# out into one flat list of op builders — in-function branches resolve to
-# flat offsets at compile time, so taken branches never leave the inner
-# dispatch loop.  The layout is cached on the function and invalidated
-# through its blocks' ``version`` stamps.
+# out into one flat list, one slot per instruction, holding a region at
+# its first instruction's slot, an op builder at each call, ret and
+# interp-only opcode, and ``None`` inside regions.  In-function branches
+# resolve to flat offsets at compile time, so taken branches never leave
+# the inner dispatch loop.  The layout is cached on the function and
+# invalidated through its blocks' ``version`` stamps.
 # ---------------------------------------------------------------------------
+
+
+class _Region:
+    """One straight-line run of ``block``: ``instrs``, then the op at
+    flat offset ``nxt`` unless the last instruction is a terminator;
+    ``offsets`` maps the function's block labels to flat offsets."""
+
+    __slots__ = ("instrs", "block", "offsets", "nxt")
+
+    def __init__(self, instrs, block, offsets, nxt):
+        self.instrs = tuple(instrs)
+        self.block = block
+        self.offsets = offsets
+        self.nxt = nxt
 
 
 def _function_template(function):
@@ -271,9 +339,9 @@ def _function_template(function):
     cached = getattr(function, "_engine_template", None)
     if cached is not None and cached[0] == versions:
         return cached[1]
-    # Layout pass: flat offset of each block (a block without a
-    # terminator — malformed, pre-verifier IR — gets a sentinel slot so
-    # falling off it traps exactly like the reference interpreter).
+    # Flat offset of each block (a block without a terminator — malformed,
+    # pre-verifier IR — gets a sentinel slot so falling off it traps
+    # exactly like the reference interpreter).
     offsets = {}
     pos = 0
     for block in function.blocks:
@@ -281,66 +349,51 @@ def _function_template(function):
         pos += len(block.instructions)
         if block.terminator is None:
             pos += 1
-    builders = []
+    layout = [None] * pos
     for block in function.blocks:
-        instrs = block.instructions
         base = offsets[block.label]
+        instrs = block.instructions
+        start = 0
         for i, instr in enumerate(instrs):
-            if i + 1 < len(instrs) and _fuses(instr, instrs[i + 1]):
-                pair = (instr, instrs[i + 1])
-                builders.append((_templated(pair, base + i + 2, offsets, block),
-                                 _interpreted(pair)))
+            opcode = instr.opcode
+            if opcode in _BINDERS:
+                if instr.is_terminator:
+                    layout[base + start] = _Region(instrs[start:i + 1], block,
+                                                   offsets, base + i + 1)
+                    start = i + 1
+                continue
+            if start < i:
+                layout[base + start] = _Region(instrs[start:i], block,
+                                               offsets, base + i)
+            if opcode == "call":
+                layout[base + i] = _build_call(instr, base + i, block)
+            elif opcode == "ret":
+                layout[base + i] = _build_ret(instr)
+            elif opcode in INTERP_HANDLERS:
+                layout[base + i] = _build_interp(
+                    _Region((instr,), block, offsets, base + i + 1))
             else:
-                builders.append(_build_instr(instr, base + i, offsets, block))
+                raise Trap(TrapKind.UNREACHABLE, f"no builder for opcode {opcode}")
+            start = i + 1
+        if start < len(instrs):
+            layout[base + start] = _Region(instrs[start:], block, offsets,
+                                           base + len(instrs))
         if block.terminator is None:
-            builders.append((_build_sentinel(block.label), None))
+            layout[base + len(instrs)] = _build_sentinel(block.label)
     try:
-        function._engine_template = (versions, builders)
+        function._engine_template = (versions, layout)
     except AttributeError:
         pass  # exotic function objects without attribute support
-    return builders
+    return layout
 
 
-def _build_instr(instr, index, offsets, block):
-    """``(op builder, the instructions its first run may interpret)``."""
-    opcode = instr.opcode
-    if opcode == "call":
-        return _build_call(instr, index, block), None
-    if opcode == "ret":
-        return _build_ret(instr), None
-    if opcode not in _BINDERS and opcode not in INTERP_HANDLERS:
-        raise Trap(TrapKind.UNREACHABLE, f"no builder for opcode {opcode}")
-    return (_templated((instr,), index + 1, offsets, block),
-            _interpreted((instr,)))
+def _build_interp(region):
+    # An opcode registered with only an interpreter handler: its
+    # one-instruction region runs through that handler every time.
+    def make(engine, function):
+        return partial(_interpret, engine, region)
 
-
-def _interpreted(instrs):
-    """``instrs`` when every one is a core straight-line opcode, whose
-    first execution may go through the interpreter (see _first_run)."""
-    if all(instr.opcode in _INTERPRETED for instr in instrs):
-        return instrs
-    return None
-
-
-def _fuses(first, second):
-    """The fusion plan: which adjacent pairs become one op."""
-    if first.opcode == "cmp" and second.opcode == "cbr":
-        return (isinstance(second.cond, Register)
-                and second.cond.uid == first.dst.uid)
-    if first.opcode == "gep" and second.opcode in ("load", "store"):
-        return (isinstance(second.addr, Register)
-                and second.addr.uid == first.dst.uid)
-    if second.opcode == "sb_check" and not second.is_fnptr_check:
-        if first.opcode == "sb_meta_load":
-            return (isinstance(second.base, Register)
-                    and isinstance(second.bound, Register)
-                    and second.base.uid == first.dst_base.uid
-                    and second.bound.uid == first.dst_bound.uid)
-        if first.opcode == "gep":
-            return (isinstance(second.ptr, Register)
-                    and second.ptr.uid == first.dst.uid)
-    return (first.opcode == "sb_check" and second.opcode == "sb_temporal_check"
-            and not first.is_fnptr_check)
+    return make
 
 
 def _build_sentinel(label):
@@ -355,9 +408,9 @@ def _build_sentinel(label):
 
 # ---------------------------------------------------------------------------
 # Templates: one per opcode family (see the module docstring for the
-# notation).  Every op starts with the instruction count and budget
-# check, which the generator writes; a template ends by falling through
-# to ``return nxt`` unless its last line returns or raises.
+# notation).  The generator writes the region's budget test and counter
+# write-back around them; a region that does not end in a terminator
+# falls through to ``return nxt``.
 # ---------------------------------------------------------------------------
 
 _SEGMENT = """\
@@ -377,7 +430,7 @@ TEMPLATES = {
 =?wrap if value >= sbit:
 =?wrap     value -= span
 regs[dst] = value
-?cost st.cost += cost
++?cost st.cost += cost
 """,
     "divide": """\
 ?!unsigned a = $a
@@ -391,18 +444,19 @@ value = ($expr) & mask
 ?wrap if value >= sbit:
 ?wrap     value -= span
 regs[dst] = value
-st.cost += cost
++ st.cost += cost
 """,
     "load": """\
 addr = $addr
 ?obs for observer in observers:
 ?obs     observer.on_load(addr, size)
 """ + _SEGMENT.replace("VERB", "read") + """\
-?codec regs[dst] = unpack(seg.data, addr - seg.base)[0]
-?!codec regs[dst] = read(addr)
-st.cost += _COST_LOAD
-st.memory_ops += 1
-?ptrval st.pointer_memory_ops += 1
+?codec value = unpack(seg.data, addr - seg.base)[0]
+?!codec value = read(addr)
+regs[dst] = value
++ st.cost += _COST_LOAD
++ st.memory_ops += 1
++?ptrval st.pointer_memory_ops += 1
 """,
     "store": """\
 addr = $addr
@@ -413,10 +467,10 @@ addr = $addr
 """ + _SEGMENT.replace("VERB", "write") + """\
 ?codec pack_into(seg.data, addr - seg.base, value)
 ?!codec write(addr, value)
-st.cost += _COST_STORE
-st.memory_ops += 1
-?ptrval st.pointer_memory_ops += 1
-?pstore on_pstore(addr, size)
++ st.cost += _COST_STORE
++ st.memory_ops += 1
++?ptrval st.pointer_memory_ops += 1
+?pstore runtime.on_program_store(addr, size)
 """,
     "memcopy": """\
 dst = $dst_addr
@@ -427,25 +481,20 @@ src = $src_addr
 memory.write(dst, memory.read(src, size))
 ?pstore runtime.on_program_store(dst, size)
 ?sb runtime.copy_metadata(src, dst, size, ctype)
-st.cost += cost
-st.memory_ops += 2
++ st.cost += cost
++ st.memory_ops += 2
 """,
     "br": """\
-st.cost += _COST_BR
++ st.cost += _COST_BR
 return target
 """,
     "cbr": """\
 cond = $cond
-st.cost += _COST_CBR
++ st.cost += _COST_CBR
 return if_true if cond else if_false
 """,
     "trap": """\
 raise Trap(TrapKind.UNREACHABLE, msg)
-""",
-    # An opcode registered with only an interpreter handler.
-    "interp": """\
-if handler(machine, frame, instr) is not None:
-    raise Trap(TrapKind.UNREACHABLE, msg)
 """,
     "sb_check": """\
 ?profile counts[pkey] = counts.get(pkey, 0) + 1
@@ -453,8 +502,8 @@ ptr = $ptr
 base = $base
 bound = $bound
 size = $size
-st.checks += 1
-st.cost += check_cost
++ st.checks += 1
++ st.cost += check_cost
 ?fnptr if not (ptr == base == bound) or ptr == 0:
 ?fnptr     raise Trap(TrapKind.FUNCTION_POINTER_VIOLATION,
 ?fnptr                "indirect call through non-function pointer",
@@ -468,8 +517,8 @@ st.cost += check_cost
 ?profile counts[pkey] = counts.get(pkey, 0) + 1
 key = $key
 lock = $lock
-st.temporal_checks += 1
-st.cost += tcost
++ st.temporal_checks += 1
++ st.cost += tcost
 if key == 0 or slots.get(lock) != key:
     ptr = $ptr
     raise temporal_violation(access_kind, ptr, key, lock)
@@ -477,98 +526,159 @@ if key == 0 or slots.get(lock) != key:
     "sb_meta_load": """\
 ?profile counts[pkey] = counts.get(pkey, 0) + 1
 addr = $addr
-facility = machine.sb_runtime.facility
 base, bound = facility.load(addr, st)
 regs[d_base] = base
 regs[d_bound] = bound
 ?temporal key, lock = facility.load_temporal(addr, st)
 ?temporal regs[d_key] = key
 ?temporal regs[d_lock] = lock
-st.metadata_loads += 1
++ st.metadata_loads += 1
 """,
     "sb_meta_store": """\
 addr = $addr
 base = $base
 bound = $bound
-facility = machine.sb_runtime.facility
 facility.store(addr, base, bound, st)
 ?temporal key = $key
 ?temporal lock = $lock
 ?temporal facility.store_temporal(addr, key, lock, st)
-st.metadata_stores += 1
++ st.metadata_stores += 1
 """,
     "sb_meta_clear": """\
 addr = $addr
 size = $size
-machine.sb_runtime.facility.clear_range(addr, size, st)
+facility.clear_range(addr, size, st)
 """,
 }
 
-#: Locals a template leaves its destination registers in, which the
-#: second half of a fused pair reads instead of the register file.
+#: The registers a template writes (the bound value holding the uid) and
+#: the local it leaves each value in, which later instructions of the
+#: region read instead of the register file.
 _OUTPUTS = {"value": (("dst", "value"),),
-            "sb_meta_load": (("d_base", "base"), ("d_bound", "bound"))}
+            "divide": (("dst", "value"),),
+            "load": (("dst", "value"),),
+            "sb_meta_load": (("d_base", "base"), ("d_bound", "bound"),
+                             ("d_key", "key"), ("d_lock", "lock"))}
 
-#: Bound names both halves of a fused op share (never suffixed).
-_SHARED = frozenset(("st", "limit", "nxt", "counts", "machine"))
-
-_BUDGET = ["st.instructions = n",
-           "if n > limit:",
-           "    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)"]
+#: Bound names that hold the same object for every instruction of a
+#: region, so they are bound once, without a suffix.
+_SHARED = frozenset(("st", "limit", "nxt", "slow", "counts", "observers",
+                     "memory", "runtime", "facility"))
 
 _HOLE = re.compile(r"int\(\$(\w+)\)|\$(\w+)")
-_SELF_ASSIGN = re.compile(r"\s*(\w+) = \1")
+#: Names a template line assigns (``a = ``, ``base, bound = ``, ``for x in``).
+_ASSIGNED = re.compile(r"\s*(?:for )?(\w+(?:, \w+)*) (?:[-+]?= |in )")
+#: A string literal (left alone, but for the names in an f-string's
+#: braces) or a name that is not an attribute or an operand hole.
+_WORD = re.compile(r'"(?:[^"\\]|\\.)*"|(?<![\w.$])[A-Za-z_]\w*')
+_BRACED = re.compile(r"\{(\w+)")
+_COUNTER = re.compile(r"st\.(\w+) \+= (\w+)")
 
-_TEXTS = {}   # (template, flag values) -> (lines, operand holes)
-_SHAPES = {}  # shape key -> (closure factory, its parameter names)
+#: File names of generated shapes, for tracebacks (see _generate).
+_FILE_PREFIX = "repro.vm.engine:region-"
+_SERIAL = count()
+
+_TEXTS = {}  # (template, flag items) -> _Text
+
+
+def _drop_source(key, shape):
+    linecache.cache.pop(shape[0].__code__.co_filename, None)
+
+
+#: shape key -> (closure factory, its parameter names, counter repair).
+_SHAPES = LRUCache(SHAPE_CACHE_ENTRIES, on_evict=_drop_source)
 
 
 def clear_shapes():
     """Forget every generated shape (after a template is changed)."""
     _TEXTS.clear()
     _SHAPES.clear()
+    for name in [name for name in linecache.cache
+                 if name.startswith(_FILE_PREFIX)]:
+        del linecache.cache[name]
 
 
-def _instantiate(name, flags):
-    """Template ``name`` with its guards resolved and its code literals
-    substituted: ``([(pure, line), ...], ((hole, as_int), ...))``."""
-    lines = []
-    for line in TEMPLATES[name].splitlines():
-        pure = False
-        if line[:1] in ("=", "?"):
-            head, _, line = line.partition(" ")
-            pure = head.startswith("=")
-            guard = head.lstrip("=")
-            if guard and bool(flags[guard.lstrip("?!")]) == guard.startswith("?!"):
-                continue
-        if "$expr" in line:
-            line = line.replace("$expr", flags["expr"])
-        lines.append((pure, line))
-    holes = {}  # hole -> whether any use reads it through int()
-    for _, line in lines:
-        for m in _HOLE.finditer(line):
-            hole = m.group(1) or m.group(2)
-            holes[hole] = holes.get(hole, False) or m.group(1) is not None
-    return lines, tuple(holes.items())
+class _Text:
+    """A template with its guards resolved and its ``$expr`` substituted:
+    ``lines`` as ``(mark, line)`` (mark ``=`` pure, ``+`` batched
+    counter, else ``""``), its operand ``holes`` as ``(hole, read
+    through int())``, the names its lines assign, and the amount of each
+    batched counter line: a number, or the name of a bound value."""
+
+    __slots__ = ("lines", "holes", "assigned", "amounts")
+
+    def __init__(self, name, flags):
+        self.lines = []
+        for line in TEMPLATES[name].splitlines():
+            mark = ""
+            if line[:1] in ("=", "+", "?"):
+                head, _, line = line.partition(" ")
+                if head[0] in "=+":
+                    mark, head = head[0], head[1:]
+                if head and bool(flags[head.lstrip("?!")]) == head.startswith("?!"):
+                    continue
+            if "$expr" in line:
+                line = line.replace("$expr", flags["expr"])
+            self.lines.append((mark, line))
+        holes = {}  # hole -> whether any use reads it through int()
+        assigned = set()
+        amounts = []
+        for mark, line in self.lines:
+            for m in _HOLE.finditer(line):
+                hole = m.group(1) or m.group(2)
+                holes[hole] = holes.get(hole, False) or m.group(1) is not None
+            m = _ASSIGNED.match(line)
+            if m:
+                assigned.update(name.strip() for name in m.group(1).split(","))
+            if mark == "+":
+                amount = _COUNTER.fullmatch(line).group(2)
+                amounts.append(int(amount) if amount.isdigit()
+                               else globals().get(amount, amount))
+        self.holes = tuple(holes.items())
+        self.assigned = frozenset(assigned)
+        self.amounts = tuple(amounts)
+
+
+def _text(text_key):
+    text = _TEXTS.get(text_key)
+    if text is None:
+        text = _TEXTS[text_key] = _Text(text_key[0], dict(text_key[1]))
+    return text
+
+
+def _rename(line, names, sfx):
+    """Suffix every name in ``names`` that ``line`` uses, in code and in
+    f-string braces."""
+    def word(m):
+        text = m.group()
+        if text[0] != '"':
+            return text + sfx if text in names else text
+        if line[m.start() - 1:m.start()] != "f":
+            return text
+        return _BRACED.sub(lambda b: "{" + b.group(1) + sfx
+                           if b.group(1) in names else b.group(), text)
+
+    return _WORD.sub(word, line)
 
 
 def _render(line, kinds, sfx, fallback):
     """Fill the operand holes of one line: ``kinds`` maps each hole to
     ``r``/``c``/``a`` (register/constant/trapping accessor, ``f`` added
-    when the value may be a float) or ``=local`` (fused-pair local)."""
+    when the value may be a float) or ``=local,`` (a value an earlier
+    instruction of the region left in a local, ``f`` likewise)."""
     def fill(m):
         hole = m.group(1) or m.group(2)
         kind = kinds[hole]
         if kind[0] == "=":
-            return kind[1:]
-        if kind[0] == "r":
+            text, _, kind = kind[1:].partition(",")
+        elif kind[0] == "r":
             text = (f"regs.get(r_{hole}{sfx}, 0)" if fallback
                     else f"regs[r_{hole}{sfx}]")
         elif kind[0] == "c":
             text = f"c_{hole}{sfx}"
         else:
             return f"a_{hole}{sfx}(regs)"
-        return f"int({text})" if m.group(1) and kind[-1] == "f" else text
+        return f"int({text})" if m.group(1) and kind[-1:] == "f" else text
 
     return _HOLE.sub(fill, line)
 
@@ -577,12 +687,17 @@ def _indent(line):
     return line[:len(line) - len(line.lstrip())]
 
 
-def _generate(parts, bound_names):
-    """Build the closure factory for one shape: ``parts`` is one
-    ``(template, (lines, holes), kinds, suffix, bound values)`` per
-    instruction, and ``bound_names`` the values a factory call may
-    receive.  Returns the factory and the names it takes, in order."""
-    prelude, body, reads = [], [], []
+def _source(key, names):
+    """The source of one region shape's closure factory.  ``key`` holds
+    one ``(text key, operand kinds, batched amounts)`` per instruction
+    and ``names`` the names of each instruction's bound values (any
+    binding of the shape: those its lines use are the same in all).
+    Returns the source, the names the factory takes after ``repair``
+    (in order), the counter marks and the line number of the op body's
+    first line (see :func:`_repair`)."""
+    prelude, body, reads, marks = [], [], [], []
+    totals = {}
+    candidates = {"st", "limit", "nxt", "slow"}
 
     def flush():
         # Adjacent register reads share one try: the fallback redoes
@@ -594,109 +709,163 @@ def _generate(parts, bound_names):
                         + ["    " + fallback for _, fallback in reads])
             reads.clear()
 
-    for i, (_, (lines, holes), kinds, sfx, values) in enumerate(parts):
-        body += (["n = st.instructions + 1"] if i == 0 else ["n += 1"]) + _BUDGET
-        kinds = dict(zip([hole for hole, _ in holes], kinds))
-        names = [name for name in values if name not in _SHARED]
-        rename = None
-        if sfx and names:
-            rename = re.compile(r"(?<![\w.$])(%s)\b" % "|".join(names))
-        hoist = (len(parts) == 1 and kinds
-                 and all(kind[0] == "c" for kind in kinds.values()))
-        for pure, line in lines:
-            if rename is not None:
-                line = rename.sub(lambda m: m.group(1) + sfx, line)
-            text = _render(line, kinds, sfx, False)
-            if _SELF_ASSIGN.fullmatch(text):
+    for k, ((text_key, kinds, batched), bound) in enumerate(zip(key, names)):
+        flush()
+        marks.append((len(body), None, 0))  # instruction k starts
+        text = _text(text_key)
+        sfx = f"_{k}"
+        kinds = dict(zip([hole for hole, _ in text.holes], kinds))
+        for hole, kind in kinds.items():
+            if kind[0] in "rca":
+                candidates.add(f"{kind[0]}_{hole}{sfx}")
+        rename = (bound | text.assigned) - _SHARED
+        candidates.update(name if name in _SHARED else name + sfx
+                          for name in bound)
+        hoist = kinds and all(kind[0] == "c" for kind in kinds.values())
+        amounts = iter(batched)
+        for mark, line in text.lines:
+            if mark == "+":
+                field = _COUNTER.fullmatch(line).group(1)
+                amount = next(amounts)
+                flush()
+                marks.append((len(body), field, amount))
+                totals[field] = totals.get(field, 0) + amount
                 continue
-            if hoist and pure:
-                prelude.append(text)
+            line = _rename(line, rename, sfx)
+            text_line = _render(line, kinds, sfx, False)
+            if hoist and mark == "=":
+                prelude.append(text_line)
                 continue
             fallback = _render(line, kinds, sfx, True)
-            if fallback == text or (reads and _indent(text) != _indent(reads[0][0])):
+            if fallback == text_line or (
+                    reads and _indent(text_line) != _indent(reads[0][0])):
                 flush()
-            if fallback == text:
-                body.append(text)
+            if fallback == text_line:
+                body.append(text_line)
             else:
-                reads.append((text, fallback))
+                reads.append((text_line, fallback))
     flush()
-    if not body[-1].startswith(("return ", "raise ")):
-        body.append("return nxt")
+    write_back = [f"st.{field} += {amount}"
+                  for field, amount in totals.items() if amount]
+    if body and body[-1].startswith("return "):
+        body[-1:-1] = write_back
+    elif not (body and body[-1].startswith("raise ")):
+        body += write_back + ["return nxt"]
     used = set(re.findall(r"\w+", "\n".join(prelude + body)))
-    params = [name for name in bound_names if name in used]
+    used.update(("st", "limit", "slow"))
+    params = sorted(name for name in candidates if name in used)
+    head = ([f"def factory({', '.join(['repair'] + params)}):"]
+            + ["    " + line for line in prelude]
+            + ["    def op(frame, regs):",
+               f"        n = st.instructions + {len(key)}",
+               "        if n > limit:",
+               "            return slow(frame, regs)",
+               "        st.instructions = n",
+               "        try:"])
     source = "\n".join(
-        [f"def factory({', '.join(params)}):"]
-        + ["    " + line for line in prelude]
-        + ["    def op(frame, regs):"]
-        + ["        " + line for line in body]
-        + ["    return op", ""])
-    filename = (f"<engine shape {len(_SHAPES)}: "
-                f"{'+'.join(part[0] for part in parts)}>")
-    linecache.cache[filename] = (len(source), None,
-                                 source.splitlines(True), filename)
+        head + ["            " + line for line in body]
+        + ["        except BaseException as exc:",
+           "            repair(st, exc)",
+           "            raise",
+           "    return op", ""])
+    return source, params, tuple(marks), len(head) + 1
+
+
+def _generate(key, names):
+    """Build the closure factory of one region shape.  Its source is not
+    kept: a lazy :mod:`linecache` entry regenerates it when a traceback
+    asks, and goes when the shape is evicted."""
+    source, params, marks, first = _source(key, names)
+    filename = f"{_FILE_PREFIX}{next(_SERIAL)}"
     namespace = {}
     exec(compile(source, filename, "exec"), globals(), namespace)
-    return namespace["factory"], params
+    linecache.cache[filename] = (partial(_shape_source, key, names),)
+    return (namespace["factory"], params,
+            partial(_repair, marks, first, len(key)))
 
 
-def _templated(instrs, nxt, offsets, block):
-    """Builder of the op for one instruction or a fused pair."""
-
-    def make(engine, function):
-        bound = {"st": engine.stats, "limit": engine.limit, "nxt": nxt}
-        key, parts, outputs = [], [], None
-        for instr, sfx in zip(instrs, ("_1", "_2") if len(instrs) > 1 else ("",)):
-            name, flags, values = _BINDERS.get(instr.opcode, _bind_interp)(
-                engine, function, instr, offsets, block)
-            text_key = (name, tuple(flags.values()))
-            text = _TEXTS.get(text_key)
-            if text is None:
-                text = _TEXTS[text_key] = _instantiate(name, flags)
-            kinds = tuple([_bind_operand(bound, hole, sfx, getattr(instr, hole),
-                                         outputs, engine, as_int)
-                           for hole, as_int in text[1]])
-            key += (text_key, kinds)
-            parts.append((name, text, kinds, sfx, values))
-            if sfx:
-                for value_name, value in values.items():
-                    if value_name not in _SHARED:
-                        value_name += sfx
-                    bound[value_name] = value
-                outputs = {values[out]: local
-                           for out, local in _OUTPUTS.get(name, ())}
-            else:
-                bound.update(values)
-        key = tuple(key)
-        shape = _SHAPES.get(key)
-        if shape is None:
-            shape = _SHAPES[key] = _generate(parts, sorted(bound))
-        factory, params = shape
-        return factory(*[bound[name] for name in params])
-
-    return make
+def _shape_source(key, names):
+    return _source(key, names)[0]
 
 
-def _bind_operand(bound, hole, sfx, operand, outputs, engine, as_int):
-    """Bind one operand hole and return its kind: ``r`` register, ``c``
-    constant (symbols resolve to constant addresses), either with ``f``
-    when the template reads it ``as_int`` and its static type allows a
-    float; ``a`` the accessor of an unresolved symbol, which traps when
-    executed; ``=local`` a value the first half of a fused pair left in
-    a local."""
+def _repair(marks, first, size, st, exc):
+    """Make the counters exact after ``exc`` left a region op part way.
+    The op wrote ``size`` instructions to ``st`` at entry and batches its
+    ``+`` lines; ``marks`` holds ``(body line, None, 0)`` where each
+    instruction starts and ``(body line, field, amount)`` where each
+    batched line stood (``first`` is the source line of body line 0).
+    An instruction counts once it started, as in the interpreter, and a
+    batched line counts once the op got past it."""
+    line = exc.__traceback__.tb_lineno - first
+    started = 0
+    for at, field, amount in marks:
+        if at > line:
+            break
+        if field is None:
+            started += 1
+        else:
+            setattr(st, field, getattr(st, field) + amount)
+    st.instructions -= size - started
+
+
+def _bind_region(region, engine, function):
+    """Specialize ``region`` on ``engine``'s machine: bind each
+    instruction, look up (or generate) the region's shape and call its
+    factory with the bound values."""
+    bound = {"st": engine.stats, "limit": engine.limit, "nxt": region.nxt,
+             "slow": partial(_interpret, engine, region)}
+    forwards = {}  # register uid -> the local holding its value
+    key, names = [], []
+    for k, instr in enumerate(region.instrs):
+        name, flags, values = _BINDERS[instr.opcode](
+            engine, function, instr, region.offsets, region.block)
+        text_key = (name, tuple(flags.items()))
+        text = _text(text_key)
+        sfx = f"_{k}"
+        kinds = tuple([_bind_operand(bound, hole + sfx, getattr(instr, hole),
+                                     forwards, engine, as_int)
+                       for hole, as_int in text.holes])
+        batched = tuple([values[amount] if isinstance(amount, str) else amount
+                         for amount in text.amounts])
+        for value_name, value in values.items():
+            bound[value_name if value_name in _SHARED
+                  else value_name + sfx] = value
+        for out, local in _OUTPUTS.get(name, ()):
+            if out in values:
+                forwards[values[out]] = local + sfx
+        key.append((text_key, kinds, batched))
+        names.append(values.keys())
+    key = tuple(key)
+    shape = _SHAPES.get(key)
+    if shape is None:
+        shape = _SHAPES.put(key, _generate(key, tuple(map(frozenset, names))))
+    factory, params, repair = shape
+    return factory(repair, *[bound[name] for name in params])
+
+
+def _bind_operand(bound, name, operand, forwards, engine, as_int):
+    """Bind the operand hole ``name`` (hole plus suffix) and return its
+    kind: ``r`` register, ``c`` constant (symbols resolve to constant
+    addresses), ``=local,`` a register an earlier instruction of the
+    region left in ``local``, each with ``f`` when the template reads it
+    ``as_int`` and its static type allows a float; ``a`` the accessor of
+    an unresolved symbol, which traps when executed."""
     if isinstance(operand, Register):
-        if outputs and operand.uid in outputs:
-            return "=" + outputs[operand.uid]
-        bound["r_" + hole + sfx] = operand.uid
-        kind = "r"
+        local = forwards.get(operand.uid)
+        if local is not None:
+            kind = f"={local},"
+        else:
+            bound["r_" + name] = operand.uid
+            kind = "r"
     elif isinstance(operand, Const):
-        bound["c_" + hole + sfx] = operand.value
+        bound["c_" + name] = operand.value
         kind = "c"
     else:
         addrs = engine.machine.symbol_addrs
         if isinstance(operand, SymbolRef) and operand.name in addrs:
-            bound["c_" + hole + sfx] = addrs[operand.name] + operand.addend
+            bound["c_" + name] = addrs[operand.name] + operand.addend
             return "c"
-        bound["a_" + hole + sfx] = engine.acc(operand)
+        bound["a_" + name] = engine.acc(operand)
         return "a"
     if as_int and (operand.type is None or operand.type.is_float):
         kind += "f"
@@ -778,6 +947,10 @@ def _fdiv(a, b):
     return float("inf") if a > 0 else float("-inf") if a < 0 else float("nan")
 
 
+#: The interpreter's integer ALU (:data:`~repro.vm.machine.INT_OPERATORS`)
+#: inlined: each operand read through ``int()``, the result masked.
+_INT_EXPRS = {op: "(%s) & mask" % re.sub(r"\b([ab])\b", r"int($\1)", expr)
+              for op, expr in INT_OPERATORS.items()}
 _SHIFTS = {"lshr": "((int($a) & mask) >> ($b & 63)) & mask",
            "ashr": "(int($a) >> ($b & 63)) & mask"}
 _FLOAT_OPS = {"fadd": "$a + $b", "fsub": "$a - $b", "fmul": "$a * $b",
@@ -789,9 +962,8 @@ def _bind_binop(engine, function, instr, *_):
     op = instr.op
     cost = OP_COSTS.get("binop." + op)
     dst_type = instr.dst.type
-    if op in _INT_FNS:
-        return _value(instr, "fn(int($a), int($b)) & mask", cost, dst_type,
-                      fn=_INT_FNS[op])
+    if op in _INT_EXPRS:
+        return _value(instr, _INT_EXPRS[op], cost, dst_type)
     if op in _SHIFTS:
         return _value(instr, _SHIFTS[op], cost, dst_type)
     if op in _FLOAT_OPS:
@@ -850,8 +1022,7 @@ def _bind_store(engine, function, instr, *_):
     ptrval = instr.is_pointer_value
     pstore = not ptrval and runtime is not None and runtime.observes_stores
     values = {"size": size, "vmask": (1 << (size * 8)) - 1,
-              "observers": engine.observers,
-              "on_pstore": runtime.on_program_store if pstore else None}
+              "observers": engine.observers, "runtime": runtime}
     if codec is not None:
         values.update(pack_into=codec.pack_into,
                       segment_for=memory._segment_for, cached=memory.heap)
@@ -890,18 +1061,6 @@ def _bind_unreachable(engine, function, instr, offsets, block):
     return _trap(f"in {function.name}/{block.label}")
 
 
-def _bind_interp(engine, function, instr, *_):
-    opcode = instr.opcode
-    return "interp", {}, {
-        "machine": engine.machine, "handler": INTERP_HANDLERS[opcode],
-        "instr": instr,
-        # The handler transferred control (interp contract), which this
-        # op cannot mirror — failing loudly beats silently executing
-        # the wrong successor.
-        "msg": f"opcode {opcode!r} transfers control, which the compiled "
-               f"engine's interpreter-handler adapter cannot follow"}
-
-
 def _bind_sb_check(engine, function, instr, *_):
     fnptr = instr.is_fnptr_check
     runtime = engine.machine.sb_runtime
@@ -925,8 +1084,8 @@ def _bind_sb_temporal_check(engine, function, instr, *_):
 
 def _bind_sb_meta_load(engine, function, instr, *_):
     temporal = instr.dst_key is not None
-    values = {"machine": engine.machine, "d_base": instr.dst_base.uid,
-              "d_bound": instr.dst_bound.uid}
+    values = {"facility": engine.machine.sb_runtime.facility,
+              "d_base": instr.dst_base.uid, "d_bound": instr.dst_bound.uid}
     if temporal:
         values.update(d_key=instr.dst_key.uid, d_lock=instr.dst_lock.uid)
     return "sb_meta_load", {
@@ -936,11 +1095,12 @@ def _bind_sb_meta_load(engine, function, instr, *_):
 
 def _bind_sb_meta_store(engine, function, instr, *_):
     return "sb_meta_store", {"temporal": instr.key is not None}, {
-        "machine": engine.machine}
+        "facility": engine.machine.sb_runtime.facility}
 
 
 def _bind_sb_meta_clear(engine, function, instr, *_):
-    return "sb_meta_clear", {}, {"machine": engine.machine}
+    return "sb_meta_clear", {}, {
+        "facility": engine.machine.sb_runtime.facility}
 
 
 _BINDERS = {
@@ -962,9 +1122,6 @@ _BINDERS = {
     "sb_meta_store": _bind_sb_meta_store,
     "sb_meta_clear": _bind_sb_meta_clear,
 }
-
-#: Core straight-line opcodes.
-_INTERPRETED = frozenset(_BINDERS) - {"br", "cbr", "unreachable"}
 
 
 # ---------------------------------------------------------------------------

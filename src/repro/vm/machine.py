@@ -36,6 +36,20 @@ _LJTARGET_BASE = 0x000C_0000
 #: Shared with the compiled engine so both raise an identical trap.
 RESOURCE_LIMIT_MSG = "instruction budget exhausted"
 
+#: The integer ALU, one Python expression over ``a`` and ``b`` per
+#: binop (before wrapping to the destination type).  The interpreter
+#: builds its ``_INT_OPS`` functions from it and the compiled engine
+#: inlines it, so the two engines share one definition.
+INT_OPERATORS = {
+    "add": "a + b",
+    "sub": "a - b",
+    "mul": "a * b",
+    "and": "a & b",
+    "or": "a | b",
+    "xor": "a ^ b",
+    "shl": "a << (b & 63)",
+}
+
 
 class _ExitProgram(Exception):
     def __init__(self, code):
@@ -134,10 +148,11 @@ class Machine:
 
     ``engine`` selects the dispatch strategy:
 
-    * ``"compiled"`` (default) — the closure-compiled threaded-code
-      engine in :mod:`repro.vm.engine`: each basic block is translated
-      once into specialized closures with operands, costs, branch
-      targets and symbol addresses pre-resolved.
+    * ``"compiled"`` (default) — the region-compiled threaded-code
+      engine in :mod:`repro.vm.engine`: each straight-line run of a
+      block is translated once into one generated function with
+      operands, costs, branch targets and symbol addresses
+      pre-resolved.
     * ``"interp"`` — the reference interpreter below, kept as the
       executable specification; ``tests/vm/test_engine_equivalence.py``
       pins the two engines to bit-identical :class:`ExecutionResult`\\ s.
@@ -552,15 +567,8 @@ class Machine:
             # the in-band metadata.
             self.sb_runtime.on_program_store(addr, size)
 
-    _INT_OPS = {
-        "add": lambda a, b: a + b,
-        "sub": lambda a, b: a - b,
-        "mul": lambda a, b: a * b,
-        "and": lambda a, b: a & b,
-        "or": lambda a, b: a | b,
-        "xor": lambda a, b: a ^ b,
-        "shl": lambda a, b: a << (b & 63),
-    }
+    _INT_OPS = {op: eval(f"lambda a, b: {expr}")
+                for op, expr in INT_OPERATORS.items()}
 
     def _exec_binop(self, frame, instr):
         a = self._value(frame, instr.a)

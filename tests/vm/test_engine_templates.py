@@ -1,6 +1,6 @@
 """The template-generated engine against the reference interpreter under
 every registered protection profile, and seeded-bug controls showing
-the equivalence contracts catch a broken template.
+the equivalence contracts catch a broken template or a broken region.
 
 ``test_engine_equivalence.py`` runs SoftBound configurations with no
 observers; here every profile in ``all_profiles()`` runs with its own
@@ -8,7 +8,10 @@ observers, so the observer, store-observing and baseline-checker
 branches of the templates are compared with full ``CostStats`` too.
 """
 
+import re
+
 import pytest
+from test_budget_cuts import cuts_disagree  # sibling module in tests/vm
 
 from repro.api import compile_source
 from repro.api.profiles import all_profiles
@@ -17,6 +20,7 @@ from repro.vm import engine
 from repro.workloads.attacks import all_attacks
 from repro.workloads.bugbench import all_bugs
 from repro.workloads.programs import WORKLOADS
+from repro.workloads.randprog import generate
 
 #: Struct copies (memcopy), float stores, unsigned compares, division
 #: and shifts: the template branches the paper workloads rarely reach.
@@ -63,6 +67,25 @@ int main(void) {
 }
 '''
 
+#: Loops that run far more often than ``engine.HOT_RUNS``: a region
+#: mutant shows only in compiled regions.  Under ``spatial`` the
+#: pointer metadata registers a loop body's region computes are read
+#: back from the register file by the next region.
+LOOPS = r'''
+#include <stdio.h>
+int main(void) {
+    long s = 0, t = 1;
+    int a[16];
+    for (int i = 0; i < 16; i++) a[i] = i * 7;
+    for (int k = 0; k < 20; k++)
+        for (int i = 0; i < 16; i++) { s = s * 3 + a[i]; t = t ^ (s >> 3); }
+    printf("%ld %ld\n", s, t);
+    return (int)((s ^ t) & 0x7f);
+}
+'''
+#: Budget cuts across LOOPS' nested loop.
+LOOP_CUTS = range(3_000, 3_040)
+
 
 def _programs():
     attacks = {attack.name: attack for attack in all_attacks()}
@@ -97,9 +120,10 @@ def engines_agree(source, profile):
 
 
 @pytest.mark.parametrize("profile", all_profiles(), ids=lambda p: p.name)
-def test_every_profile_with_its_observers(profile):
-    for name, source in PROGRAMS.items():
-        assert engines_agree(source, profile), name
+def test_every_profile_with_its_observers(profile, thresholds):
+    for hot_runs in thresholds():
+        for name, source in PROGRAMS.items():
+            assert engines_agree(source, profile), (name, hot_runs)
 
 
 @pytest.fixture
@@ -144,6 +168,104 @@ def test_seeded_template_bugs_are_caught(fresh_shapes, monkeypatch):
     interp = profile_source(BOUNDARY, profile="spatial", engine="interp")
     compiled = profile_source(BOUNDARY, profile="spatial", engine="compiled")
     assert interp.sites != compiled.sites
+
+
+@pytest.fixture
+def region_mutant(fresh_shapes, monkeypatch):
+    """Install a rewrite of every generated region's source."""
+    def install(rewrite):
+        source_of = engine._source
+
+        def mutated(*shape):
+            source, *rest = source_of(*shape)
+            return (rewrite(source), *rest)
+
+        monkeypatch.setattr(engine, "_source", mutated)
+        engine.clear_shapes()
+
+    return install
+
+
+def drop_forwarded_write_back(source):
+    """Delete each ``regs[...] = local`` whose local a later
+    instruction of the region reads."""
+    lines = source.splitlines(True)
+    kept = []
+    for i, line in enumerate(lines):
+        m = re.fullmatch(r"\s*regs\[\w+\] = (\w+)\n", line)
+        if m and any(re.search(rf"\b{m.group(1)}\b", later)
+                     for later in lines[i + 1:]):
+            continue
+        kept.append(line)
+    return "".join(kept)
+
+
+def test_region_control_agrees_unmutated(fresh_shapes):
+    from repro.api.profiles import as_profile
+
+    assert engines_agree(LOOPS, as_profile("spatial"))
+    assert cuts_disagree(LOOPS, "spatial", LOOP_CUTS) == []
+
+
+def test_dropped_forwarded_write_back_is_caught(region_mutant):
+    # A region that reads a value from its local but never stores it in
+    # the register file: the next region reads a stale register.
+    from repro.api.profiles import as_profile
+
+    dropped = []
+
+    def rewrite(source):
+        mutated = drop_forwarded_write_back(source)
+        dropped.append(mutated != source)
+        return mutated
+
+    region_mutant(rewrite)
+    assert not engines_agree(LOOPS, as_profile("spatial"))
+    assert any(dropped)
+
+
+@pytest.mark.parametrize("correct, mutant", (
+    # The region-entry budget test off by one: a region that overruns
+    # the budget by one instruction runs to its end.
+    ("if n > limit:", "if n > limit + 1:"),
+    # No exact slow path: the region traps at entry instead of running
+    # up to the budget one instruction at a time.
+    ("return slow(frame, regs)",
+     "raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)"),
+), ids=("off-by-one-budget", "no-slow-path"))
+def test_budget_mutants_are_caught(region_mutant, correct, mutant):
+    def rewrite(source):
+        assert correct in source
+        return source.replace(correct, mutant)
+
+    region_mutant(rewrite)
+    assert cuts_disagree(LOOPS, "spatial", LOOP_CUTS) != []
+
+
+def test_shape_cache_stays_bounded(fresh_shapes, monkeypatch):
+    # Every region compiles at its first run, so 200 distinct random
+    # programs churn far more shapes than the (lowered) bound holds, and
+    # each must still run as under the interpreter; evicted shapes take
+    # their lazy traceback source with them.
+    import linecache
+
+    from repro.api.profiles import as_profile
+
+    bound = 64
+    monkeypatch.setattr(engine, "HOT_RUNS", 1)
+    monkeypatch.setattr(engine._SHAPES, "max_entries", bound)
+    evictions = engine._SHAPES.evictions
+    profile = as_profile("none")
+    for seed in range(200):
+        compiled = compile_source(generate(seed).source, profile=profile)
+        interp = run_signature(compiled, profile, "interp")
+        assert run_signature(compiled, profile, "compiled") == interp, seed
+        assert interp[2] is None, seed
+        assert len(engine._SHAPES) <= bound
+    assert engine._SHAPES.evictions - evictions > 0
+    sources = [name for name in linecache.cache
+               if name.startswith(engine._FILE_PREFIX)]
+    assert len(sources) == len(engine._SHAPES)
 
 
 def test_unresolved_symbol_traps_identically():
