@@ -17,6 +17,7 @@ entries through the same disjoint facility.
 
 from ..temporal import GLOBAL_KEY, GLOBAL_LOCK, LockSpace
 from ..vm.errors import temporal_violation
+from ..vm.machine import _frame_layout
 
 
 class SoftBoundRuntime:
@@ -173,13 +174,12 @@ class SoftBoundRuntime:
 
     def on_frame_teardown(self, machine, frame):
         """Clear metadata for pointer-bearing stack slots before the frame
-        is reused (paper Section 5.2's heuristic: only variables that
-        likely had pointer metadata set), and kill the frame's lock so
-        every pointer into it becomes permanently dead."""
-        for offset, size, name, ctype in frame.alloca_ctypes:
-            if ctype is not None and ctype.contains_pointer():
-                self.facility.clear_range(frame.base + offset, size, machine.stats)
-        if self.temporal:
-            slot = getattr(frame, "lock_slot", 0)
-            if slot:
-                self.lockspace.release(slot, machine.stats)
+        is reused (paper Section 5.2's heuristic, decided once per
+        function by its frame layout's ``pointer_slots``), and kill the
+        frame's lock so every pointer into it becomes permanently dead.
+        The compiled engine's ``ret`` does the same inline."""
+        base = frame.base
+        for offset, size in _frame_layout(frame.function).pointer_slots:
+            self.facility.clear_range(base + offset, size, machine.stats)
+        if self.temporal and frame.lock_slot:
+            self.lockspace.release(frame.lock_slot, machine.stats)

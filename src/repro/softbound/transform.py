@@ -223,7 +223,8 @@ class _FunctionTransform:
     def _frame_tmeta(self):
         """The function's per-frame (key, lock) registers, created once
         and recorded on the function for the VM to bind at frame entry
-        (``Machine._push_frame`` acquires the frame's lock)."""
+        (the frame push, ``Machine._push_frame`` or the compiled
+        engine's specialized call, acquires the frame's lock)."""
         if self._frame_meta is None:
             key = self.func.new_reg(I64, "frame.sbk")
             lock = self.func.new_reg(I64, "frame.sbl")

@@ -21,8 +21,24 @@ applied per *region* rather than per instruction:
   flat op offsets; a value an earlier instruction of the region
   computed is read from that instruction's local, and every register
   write still reaches the register file;
-* ``call`` and ``ret`` (frame transfer) are one hand-written op each,
-  and an opcode a checker policy registers with only an interpreter
+* ``call`` and ``ret`` (frame transfer) are one op each.  A direct call
+  to a non-variadic module function, protected or not, is one generated
+  op: its *call plan* says which caller register, constant or zero each
+  callee register gets (named parameters, the SoftBound companions, the
+  metadata the call site appends).  The plan is the interpreter's own
+  convention (``Machine._split_call_metadata``, then
+  :func:`~repro.vm.machine.param_bindings`) applied once per call site
+  to argument positions; the op binds the callee's registers as one
+  dict display, packs the saved FP and return address straight into
+  the stack segment and acquires the frame's temporal lock itself, and
+  call shapes are cached with the region shapes.  Indirect calls,
+  variadic callees, observed machines and arguments naming an
+  unresolved symbol (whose evaluation must trap) take the
+  interpreter's frame push.  On an unobserved machine ``ret`` tears
+  the frame down inline: it clears the metadata of the function's
+  pointer-bearing slots (its frame layout's ``pointer_slots``) and
+  releases the frame's lock;
+* an opcode a checker policy registers with only an interpreter
   handler is a one-instruction region that always runs through that
   handler (:func:`_interpret`) and is never compiled;
 * the dispatch loop is ``i = ops[i](frame, regs)``: each op returns the
@@ -111,8 +127,10 @@ from .machine import (
     INT_OPERATORS,
     RESOURCE_LIMIT_MSG as _RESOURCE_MSG,
     Frame,
+    Machine,
     _frame_layout,
     _operand_type,
+    param_bindings,
 )
 
 #: A region's first ``HOT_RUNS - 1`` executions run through the
@@ -145,7 +163,7 @@ _COST_CALL_ARG = OP_COSTS["call.per_arg"]
 _COST_FNPTR = OP_COSTS["sb.fnptr.check"]
 
 #: Shared read-only vararg-metadata map for frames of non-variadic
-#: functions pushed by the specialized call path (never mutated: only
+#: functions pushed by the specialized call op (never mutated: only
 #: ``_push_frame`` writes ``va_metas``, and only for variadic callees).
 _EMPTY_VA_METAS = {}
 
@@ -772,16 +790,21 @@ def _source(key, names):
 
 
 def _generate(key, names):
-    """Build the closure factory of one region shape.  Its source is not
-    kept: a lazy :mod:`linecache` entry regenerates it when a traceback
-    asks, and goes when the shape is evicted."""
+    """Build the closure factory of one region shape."""
     source, params, marks, first = _source(key, names)
+    return (_exec_shape(source, partial(_shape_source, key, names)), params,
+            partial(_repair, marks, first, len(key)))
+
+
+def _exec_shape(source, lazy_source):
+    """Execute a shape's factory source.  The source is not kept: the
+    lazy :mod:`linecache` entry ``lazy_source`` regenerates it when a
+    traceback asks, and goes when the shape is evicted."""
     filename = f"{_FILE_PREFIX}{next(_SERIAL)}"
     namespace = {}
     exec(compile(source, filename, "exec"), globals(), namespace)
-    linecache.cache[filename] = (partial(_shape_source, key, names),)
-    return (namespace["factory"], params,
-            partial(_repair, marks, first, len(key)))
+    linecache.cache[filename] = (lazy_source,)
+    return namespace["factory"]
 
 
 def _shape_source(key, names):
@@ -910,7 +933,7 @@ def _profiled(engine, instr, opcode, values):
 
 def _bind_alloca(engine, function, instr, *_):
     return _value(instr, "frame.base + offset",
-                  offset=_frame_layout(function)[0][instr.dst.uid])
+                  offset=_frame_layout(function).offsets[instr.dst.uid])
 
 
 def _bind_mov(engine, function, instr, *_):
@@ -1149,12 +1172,21 @@ def _build_ret(instr):
         meta_accs = None
         if sb_meta is not None:
             meta_accs = tuple(engine.acc(v) for v in sb_meta)
-        # Frame teardown specializes to a pop + sp restore when there is
-        # nothing to notify: no observers, no metadata to clear.
-        if not engine.observers and machine.sb_runtime is None:
-            pop_frame = None
-        else:
-            pop_frame = machine._pop_frame
+        # Frame teardown: an observed machine takes the generic pop
+        # (on_stack_free, then the runtime's teardown).  Otherwise it is
+        # inline: pop, clear the metadata of this function's
+        # pointer-bearing slots (from its frame layout, as
+        # SoftBoundRuntime.on_frame_teardown does), release the frame's
+        # temporal lock and restore sp.
+        pop_frame = machine._pop_frame if engine.observers else None
+        runtime = machine.sb_runtime
+        slots = ()
+        clear_range = release = None
+        if runtime is not None:
+            slots = _frame_layout(function).pointer_slots
+            clear_range = runtime.facility.clear_range
+            if runtime.temporal:
+                release = runtime.lockspace.release
 
         def op(frame, regs):
             n = st.instructions + 1
@@ -1165,7 +1197,7 @@ def _build_ret(instr):
             value = value_acc(regs) if value_acc is not None else None
             meta_vals = None
             if meta_accs is not None:
-                meta_vals = tuple(acc(regs) for acc in meta_accs)
+                meta_vals = [acc(regs) for acc in meta_accs]
             # Read the control data back from simulated memory — the
             # attack surface the Wilander suite exercises.  The frame
             # pointer normally sits in the stack segment (decode
@@ -1187,6 +1219,12 @@ def _build_ret(instr):
                            address=ret_addr, target_symbol=target)
             if pop_frame is None:
                 frames.pop()
+                if slots:
+                    base = frame.base
+                    for off, size in slots:
+                        clear_range(base + off, size, st)
+                if release is not None and frame.lock_slot:
+                    release(frame.lock_slot, st)
                 machine.sp = frame.base + frame.size
             else:
                 pop_frame()
@@ -1248,20 +1286,39 @@ def _build_call(instr, index, cur_block):
     dst_meta = getattr(instr, "sb_dst_meta", None)
     call_cost = _COST_CALL + _COST_CALL_ARG * len(instr.args)
     nxt = index + 1
+    plans = {}  # (callee, metadata arity or None) -> the site's call plan
 
     def make(engine, function):
         machine = engine.machine
+        site = machine._site_id(machine._call_site_key(function, instr))
+        has_sb = machine.sb_runtime is not None
+        meta_arity = machine.sb_runtime.meta_arity if has_sb else 2
+        functions = machine.module.functions
+        target_name = callee
+        if target_name is not None and has_sb and f"_sb_{target_name}" in functions:
+            target_name = f"_sb_{target_name}"
+        target = functions.get(target_name)
+        addrs = machine.symbol_addrs
+        if (target is not None and not target.varargs and not engine.observers
+                and all(isinstance(a, (Register, Const))
+                        or (isinstance(a, SymbolRef) and a.name in addrs)
+                        for a in instr.args)):
+            # Direct call to a non-variadic module function whose
+            # arguments cannot trap: the specialized op.
+            key = (target, meta_arity if has_sb else None)
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = _call_plan(instr, target, key[1])
+            return _bind_call(engine, instr, target, plan, site, nxt,
+                              call_cost, _needs_signature_check(instr, target))
+
         st = engine.stats
         limit = engine.limit
         arg_accs = [engine.acc(a) for a in instr.args]
-        site = machine._site_id(machine._call_site_key(function, instr))
         push_frame = machine._push_frame
         split_meta = machine._split_call_metadata
         check_signature = machine._check_call_signature
-        has_sb = machine.sb_runtime is not None
-        meta_arity = machine.sb_runtime.meta_arity if has_sb else 2
         libc_call = machine.libc.call
-        functions = machine.module.functions
 
         def enter(frame, target, args):
             """The general frame push (metadata, observers, varargs)."""
@@ -1288,22 +1345,11 @@ def _build_call(instr, index, cur_block):
                 _store_result(regs, dst, dst_meta, result)
             return nxt
 
-        target_name = callee
-        if target_name is not None and has_sb and f"_sb_{target_name}" in functions:
-            target_name = f"_sb_{target_name}"
-
-        if target_name is not None and target_name in functions:
-            # Direct call to a module function: everything about the
-            # transfer is decidable now.
-            target = functions[target_name]
+        if target is not None:
+            # Direct call to a module function through the general frame
+            # push: a variadic callee, an observed machine or an
+            # argument whose evaluation traps.
             has_sig = _needs_signature_check(instr, target)
-
-            if (not has_sig and not has_sb and not engine.observers
-                    and not target.varargs
-                    and not getattr(target, "sb_extra_params", [])
-                    and len(instr.args) == len(target.params)):
-                return _fast_call(engine, target, arg_accs, site, nxt, dst,
-                                  dst_meta, call_cost)
 
             def op(frame, regs):
                 n = st.instructions + 1
@@ -1365,89 +1411,165 @@ def _build_call(instr, index, cur_block):
     return make
 
 
-def _fast_call(engine, target, arg_accs, site, nxt, dst, dst_meta, call_cost):
-    """Direct call with nothing to notify: the frame push is fully
-    specialized — layout constants, parameter registers and the
-    saved-FP/RA writes are all pre-bound; no metadata, no observers."""
-    machine = engine.machine
-    st = engine.stats
-    limit = engine.limit
-    frames = machine.frames
-    entry_block = target.entry
-    layout, allocas, fp_off, ret_off, va_off = _frame_layout(target)
-    frame_size = va_off
-    param_uids = [p.register.uid for p in target.params]
-    stack_seg = engine.memory.stack
-    stack_data = stack_seg.data
-    stack_base = stack_seg.base
-    pack_u64 = _SCALAR_CODECS[(8, False)].pack_into
-    target_fname = target.name
-    new_frame_of = Frame.__new__
+# ---------------------------------------------------------------------------
+# The specialized direct call: one generated op per call plan shape.
+# ---------------------------------------------------------------------------
 
-    # Parameter binding specialized by arity: small argument lists
-    # become a dict display, larger ones a zip loop.
-    nparams = len(param_uids)
-    if nparams == 0:
-        def bind_args(regs):
-            return {}
-    elif nparams == 1:
-        u0, a0 = param_uids[0], arg_accs[0]
 
-        def bind_args(regs):
-            return {u0: a0(regs)}
-    elif nparams == 2:
-        (u0, u1), (a0, a1) = param_uids, arg_accs[:2]
+def _call_plan(instr, target, arity):
+    """What a direct call binds in ``target``'s new frame: ``(register
+    uid, argument position)`` pairs, position None for a zero-filled
+    companion.  The interpreter's own convention applied to argument
+    positions: ``Machine._split_call_metadata`` (skipped when ``arity``
+    is None, on a machine without a SoftBound runtime), then
+    :func:`~repro.vm.machine.param_bindings`."""
+    positions = list(range(len(instr.args)))
+    metas = None
+    if arity is not None:
+        positions, metas = Machine._split_call_metadata(positions, instr, arity)
+    return tuple(param_bindings(target, positions, metas,
+                                2 if arity is None else arity, zero=None))
 
-        def bind_args(regs):
-            return {u0: a0(regs), u1: a1(regs)}
-    elif nparams == 3:
-        (u0, u1, u2), (a0, a1, a2) = param_uids, arg_accs[:3]
 
-        def bind_args(regs):
-            return {u0: a0(regs), u1: a1(regs), u2: a2(regs)}
+#: The specialized call op's body (a ``?flag`` line is kept only when the
+#: flag is set, ``?!flag`` only when clear; ``$bind`` is the callee's
+#: register file as a dict display over the call plan): the
+#: interpreter's ``_exec_call`` and ``Machine._push_frame`` for a
+#: non-variadic module function on an unobserved machine, in their
+#: order — count and budget, call counters, the signature check, the
+#: stack-overflow test, the saved FP and return address packed into
+#: the stack segment, the frame's temporal lock.
+_CALL = """\
+n = st.instructions + 1
+st.instructions = n
+if n > limit:
+    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
+st.calls += 1
+st.cost += call_cost
+$bind
+?sig check_signature(instr, target)
+base = machine.sp - frame_size
+if base < stack_base:
+    raise Trap(TrapKind.STACK_OVERFLOW, target_name)
+fp = base + fp_off
+off = fp - stack_base
+pack_u64(stack_data, off, frame.fp & _M64)
+pack_u64(stack_data, off + 8, site)
+new_frame = new_frame_of(Frame)
+?lock key, slot = acquire(st)
+?lock new_regs[frame_key] = key
+?lock new_regs[frame_lock] = slot
+?lock new_frame.lock_slot = slot
+?!lock new_frame.lock_slot = 0
+new_frame.function = target
+new_frame.regs = new_regs
+new_frame.base = base
+new_frame.size = frame_size
+new_frame.fp = fp
+new_frame.expected_ret = site
+new_frame.alloca_ctypes = allocas
+new_frame.va_spill = 0
+new_frame.va_bytes = 0
+new_frame.va_ptr_count = 0
+new_frame.va_metas = _EMPTY_VA_METAS
+new_frame.dst_reg = dst
+new_frame.dst_meta = dst_meta
+new_frame.caller_site = frame
+new_frame.block = entry_block
+new_frame.index = 0
+machine.sp = base
+frames.append(new_frame)
+frame.index = nxt
+return -1
+"""
+
+
+def _call_source(key, names):
+    """The source of one call shape's closure factory, ``key`` being
+    ``("call", source kinds, flags)``: one kind per plan entry, ``r``
+    (the caller's register ``r_K``) or ``c`` (the constant ``c_K``),
+    bound to the callee register ``u_K``; ``names`` are the names a
+    binding of the shape binds.  Returns the source and the names the
+    factory takes, in order."""
+    _, kinds, flags = key
+    flags = dict(flags)
+    entries = [f"u_{k}: regs[r_{k}]" if kind == "r" else f"u_{k}: c_{k}"
+               for k, kind in enumerate(kinds)]
+    display = "new_regs = {%s}" % ", ".join(entries)
+    if "r" in kinds:
+        bind = ["try:", "    " + display, "except KeyError:",
+                "    " + re.sub(r"regs\[(r_\d+)\]", r"regs.get(\1, 0)", display)]
     else:
-        def bind_args(regs):
-            return {uid: acc(regs) for uid, acc in zip(param_uids, arg_accs)}
+        bind = [display]
+    body = []
+    for line in _CALL.splitlines():
+        if line.startswith("?"):
+            head, _, line = line.partition(" ")
+            if bool(flags[head.lstrip("?!")]) == head.startswith("?!"):
+                continue
+        body.extend(bind if line == "$bind" else [line])
+    params = sorted(names & set(re.findall(r"\w+", "\n".join(body))))
+    source = "\n".join(
+        [f"def factory({', '.join(params)}):", "    def op(frame, regs):"]
+        + ["        " + line for line in body] + ["    return op", ""])
+    return source, params
 
-    def op(frame, regs):
-        n = st.instructions + 1
-        st.instructions = n
-        if n > limit:
-            raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-        st.calls += 1
-        st.cost += call_cost
-        new_regs = bind_args(regs)
-        base = machine.sp - frame_size
-        if base < stack_base:
-            raise Trap(TrapKind.STACK_OVERFLOW, target_fname)
-        new_frame = new_frame_of(Frame)
-        new_frame.function = target
-        new_frame.regs = new_regs
-        new_frame.base = base
-        new_frame.size = frame_size
-        fp = base + fp_off
-        new_frame.fp = fp
-        new_frame.expected_ret = site
-        new_frame.alloca_ctypes = allocas
-        new_frame.va_spill = 0
-        new_frame.va_bytes = 0
-        new_frame.va_ptr_count = 0
-        new_frame.va_metas = _EMPTY_VA_METAS
-        # Materialize saved FP and return address in simulated memory
-        # (the attackable control data); [fp, fp+16) is inside the
-        # stack segment by the overflow check above, so encode straight
-        # into it.
-        off = fp - stack_base
-        pack_u64(stack_data, off, frame.fp & _M64)
-        pack_u64(stack_data, off + 8, site)
-        machine.sp = base
-        frames.append(new_frame)
-        frame.index = nxt
-        new_frame.dst_reg = dst
-        new_frame.dst_meta = dst_meta
-        new_frame.caller_site = frame
-        new_frame.block = entry_block
-        new_frame.index = 0
-        return -1
 
-    return op
+def _bind_call(engine, instr, target, plan, site, nxt, call_cost, has_sig):
+    """Specialize a direct call to the non-variadic module function
+    ``target`` on ``engine``'s machine (no observers, every argument
+    resolvable): bind the plan's sources — a caller register, an
+    argument's constant or resolved symbol address, or zero — and the
+    frame constants, and call the shape's factory."""
+    machine = engine.machine
+    runtime = machine.sb_runtime
+    layout = _frame_layout(target)
+    stack = engine.memory.stack
+    frame_meta = getattr(target, "sb_frame_meta", None)
+    lock = (runtime is not None and runtime.temporal
+            and frame_meta is not None)
+    bound = {
+        "st": engine.stats, "limit": engine.limit, "call_cost": call_cost,
+        "machine": machine, "frames": machine.frames, "target": target,
+        "target_name": target.name, "frame_size": layout.va_offset,
+        "fp_off": layout.fp_offset, "allocas": layout.allocas,
+        "stack_base": stack.base, "stack_data": stack.data,
+        "pack_u64": _SCALAR_CODECS[(8, False)].pack_into, "site": site,
+        "nxt": nxt, "dst": instr.dst,
+        "dst_meta": getattr(instr, "sb_dst_meta", None),
+        "entry_block": target.entry, "new_frame_of": Frame.__new__,
+        "check_signature": machine._check_call_signature, "instr": instr,
+    }
+    if lock:
+        bound.update(acquire=runtime.lockspace.acquire,
+                     frame_key=frame_meta[0].uid, frame_lock=frame_meta[1].uid)
+    addrs = machine.symbol_addrs
+    kinds = []
+    for k, (uid, pos) in enumerate(plan):
+        bound[f"u_{k}"] = uid
+        operand = None if pos is None else instr.args[pos]
+        if isinstance(operand, Register):
+            bound[f"r_{k}"] = operand.uid
+            kinds.append("r")
+            continue
+        if operand is None:
+            value = 0
+        elif isinstance(operand, Const):
+            value = operand.value
+        else:
+            value = addrs[operand.name] + operand.addend
+        bound[f"c_{k}"] = value
+        kinds.append("c")
+    key = ("call", tuple(kinds), (("sig", has_sig), ("lock", lock)))
+    shape = _SHAPES.get(key)
+    if shape is None:
+        names = frozenset(bound)
+        source, params = _call_source(key, names)
+        shape = _SHAPES.put(key, (
+            _exec_shape(source, partial(_call_text, key, names)), params))
+    factory, params = shape
+    return factory(*[bound[name] for name in params])
+
+
+def _call_text(key, names):
+    return _call_source(key, names)[0]

@@ -22,6 +22,8 @@ SoftBound runtime instructions (`sb_check`, `sb_meta_*`) against a
 metadata facility when the module has been transformed.
 """
 
+from typing import NamedTuple
+
 from ..ir.irtypes import F64, I64, PTR
 from ..ir.values import Const, Register, SymbolRef
 from ..obs.profiler import site_of
@@ -115,6 +117,20 @@ class Observer:
         pass
 
 
+class FrameLayout(NamedTuple):
+    """A function's static frame layout (see :func:`_frame_layout`)."""
+
+    offsets: dict  # alloca register uid -> offset from the frame base
+    allocas: list  # (offset, size, name, ctype), for observers
+    fp_offset: int  # saved FP
+    ret_offset: int  # return address
+    va_offset: int  # vararg spill area, and the size without varargs
+    #: ``(offset, size)`` of each pointer-bearing alloca: the slots whose
+    #: metadata frame teardown clears (paper Section 5.2's heuristic:
+    #: only variables that likely had pointer metadata set).
+    pointer_slots: tuple
+
+
 def _frame_layout(function):
     """Compute (and cache) the static frame layout of a function:
     alloca offsets, the saved-FP/return-address slots above them, and a
@@ -135,12 +151,42 @@ def _frame_layout(function):
         allocas.append((offset, instr.size, instr.name, instr.ctype))
         offset += instr.size
     offset = (offset + 7) // 8 * 8
-    fp_offset = offset          # saved FP
-    ret_offset = offset + 8     # return address
-    va_offset = offset + 16     # vararg spill area
-    layout = (offsets, allocas, fp_offset, ret_offset, va_offset)
+    pointer_slots = tuple((off, size) for off, size, _, ctype in allocas
+                          if ctype is not None and ctype.contains_pointer())
+    layout = FrameLayout(offsets, allocas, offset, offset + 8, offset + 16,
+                         pointer_slots)
     function._frame_layout = layout
     return layout
+
+
+def param_bindings(function, args, arg_metas, arity, zero=0):
+    """The registers a call binds in ``function``'s new frame, in
+    binding order: ``(register uid, value)`` for each named parameter
+    ``args`` covers, then one per SoftBound companion parameter — one
+    metadata tuple per pointer-typed named parameter, in order (paper
+    Section 3.3): (base, bound), widened with (key, lock) under
+    temporal checking.  A pointer parameter the call passes no metadata
+    for (``arg_metas`` from :meth:`Machine._split_call_metadata`), or
+    fewer than ``arity`` values, gets ``zero`` for the missing ones.
+    :meth:`Machine._push_frame` binds values with it; the compiled
+    engine applies it to argument positions (``zero`` None) to plan a
+    call site once."""
+    bindings = [(param.register.uid, value)
+                for param, value in zip(function.params, args)]
+    sb_params = getattr(function, "sb_extra_params", [])
+    if sb_params:
+        flat = []
+        for i, param in enumerate(function.params):
+            if param.ctype is not None and param.ctype.is_pointer:
+                meta = arg_metas[i] if arg_metas and i < len(arg_metas) else None
+                if meta is None:
+                    meta = (zero,) * arity
+                flat.extend(meta)
+                if len(meta) < arity:
+                    flat.extend([zero] * (arity - len(meta)))
+        bindings.extend((param.register.uid, value)
+                        for param, value in zip(sb_params, flat))
+    return bindings
 
 
 class Machine:
@@ -368,7 +414,7 @@ class Machine:
         return original, metas
 
     def _push_frame(self, function, args, site_id, arg_metas=None):
-        offsets, allocas, fp_off, ret_off, va_off = _frame_layout(function)
+        offsets, allocas, fp_off, ret_off, va_off, _ = _frame_layout(function)
         named = len(function.params)
         extra = args[named:] if function.varargs else []
         va_area = len(extra) * 8
@@ -386,26 +432,9 @@ class Machine:
         caller_fp = self.frames[-1].fp if self.frames else 0
         self.memory.write_ptr(frame.fp, caller_fp)
         self.memory.write_ptr(frame.fp + 8, site_id)
-        # Bind named parameters.
-        for param, value in zip(function.params, args):
-            frame.regs[param.register.uid] = value
-        # Bind SoftBound companion parameters: one metadata tuple per
-        # pointer-typed named parameter, in order (paper Section 3.3) —
-        # (base, bound), widened with (key, lock) under temporal checking.
-        sb_params = getattr(function, "sb_extra_params", [])
-        if sb_params:
-            arity = self.sb_runtime.meta_arity if self.sb_runtime is not None else 2
-            flat = []
-            for i, param in enumerate(function.params):
-                meta = arg_metas[i] if arg_metas and i < len(arg_metas) else None
-                if param.ctype is not None and param.ctype.is_pointer:
-                    if meta is None:
-                        meta = (0,) * arity
-                    flat.extend(meta)
-                    if len(meta) < arity:
-                        flat.extend([0] * (arity - len(meta)))
-            for param, value in zip(sb_params, flat):
-                frame.regs[param.register.uid] = value
+        # Bind named parameters and their SoftBound companions.
+        arity = self.sb_runtime.meta_arity if self.sb_runtime is not None else 2
+        frame.regs.update(param_bindings(function, args, arg_metas, arity))
         # Acquire the frame's temporal lock: every alloca-derived pointer
         # in this function keys on it, and teardown kills it.
         if self.sb_runtime is not None and self.sb_runtime.temporal:
@@ -525,7 +554,7 @@ class Machine:
     # -- instruction handlers ----------------------------------------------------
 
     def _exec_alloca(self, frame, instr):
-        offsets, _, _, _, _ = _frame_layout(frame.function)
+        offsets = _frame_layout(frame.function).offsets
         frame.regs[instr.dst.uid] = frame.base + offsets[instr.dst.uid]
         self.stats.charge("alloca")
 

@@ -1,6 +1,7 @@
 """The template-generated engine against the reference interpreter under
 every registered protection profile, and seeded-bug controls showing
-the equivalence contracts catch a broken template or a broken region.
+the equivalence contracts catch a broken template, a broken region or
+a broken specialized call path.
 
 ``test_engine_equivalence.py`` runs SoftBound configurations with no
 observers; here every profile in ``all_profiles()`` runs with its own
@@ -11,16 +12,21 @@ branches of the templates are compared with full ``CostStats`` too.
 import re
 
 import pytest
-from test_budget_cuts import cuts_disagree  # sibling module in tests/vm
+from test_budget_cuts import cuts_disagree  # sibling modules in tests/vm
+from test_call_convention import (CONFIGS, constant_args_agree, link_agrees,
+                                  recursion_agrees)
+from test_temporal_equivalence import assert_engines_agree as temporal_agree
 
 from repro.api import compile_source
 from repro.api.profiles import all_profiles
 from repro.obs.profiler import profile_source
+from repro.softbound.config import TEMPORAL_SHADOW
 from repro.vm import engine
 from repro.workloads.attacks import all_attacks
 from repro.workloads.bugbench import all_bugs
 from repro.workloads.programs import WORKLOADS
 from repro.workloads.randprog import generate
+from repro.workloads.temporal_attacks import TEMPORAL_ATTACKS
 
 #: Struct copies (memcopy), float stores, unsigned compares, division
 #: and shifts: the template branches the paper workloads rarely reach.
@@ -240,6 +246,85 @@ def test_budget_mutants_are_caught(region_mutant, correct, mutant):
 
     region_mutant(rewrite)
     assert cuts_disagree(LOOPS, "spatial", LOOP_CUTS) != []
+
+
+@pytest.fixture
+def call_mutant(fresh_shapes, monkeypatch):
+    """Install a rewrite of every specialized call op's source."""
+    def install(rewrite):
+        source_of = engine._call_source
+
+        def mutated(*shape):
+            source, params = source_of(*shape)
+            return rewrite(source), params
+
+        monkeypatch.setattr(engine, "_call_source", mutated)
+        engine.clear_shapes()
+
+    return install
+
+
+def replacing(correct, mutant, applied):
+    """A source rewrite of ``correct`` to ``mutant``; ``applied`` gets
+    whether each rewritten source held ``correct``."""
+    def rewrite(source):
+        applied.append(correct in source)
+        return source.replace(correct, mutant)
+
+    return rewrite
+
+
+def test_swapped_companions_are_caught(monkeypatch):
+    # The call plan binds each pointer argument's bound to the callee's
+    # base companion and its base to the bound companion.
+    bindings = engine.param_bindings
+
+    def swapped(function, args, arg_metas, arity, zero=0):
+        plan = bindings(function, args, arg_metas, arity, zero)
+        extra = {param.register.uid for param in function.sb_extra_params}
+        at = [i for i, (uid, _) in enumerate(plan) if uid in extra]
+        for base, bound in zip(at[0::arity], at[1::arity]):
+            plan[base], plan[bound] = ((plan[base][0], plan[bound][1]),
+                                       (plan[bound][0], plan[base][1]))
+        return plan
+
+    monkeypatch.setattr(engine, "param_bindings", swapped)
+    assert not link_agrees("both-transformed", CONFIGS["full-shadow"])
+
+
+def test_unacquired_frame_lock_is_caught(call_mutant):
+    # The specialized push leaves the frame's (key, lock) registers 0:
+    # every pointer into the frame fails its temporal check.
+    applied = []
+    call_mutant(replacing("key, slot = acquire(st)", "key, slot = 0, 0",
+                          applied))
+    assert not recursion_agrees("full")
+    with pytest.raises(AssertionError):
+        temporal_agree(TEMPORAL_ATTACKS["dangling_stack"].source,
+                       TEMPORAL_SHADOW)
+    assert any(applied)
+
+
+def test_uncleared_pointer_slot_is_caught(fresh_shapes, monkeypatch):
+    # The specialized ret skips its function's first pointer-bearing
+    # slot: clearing that slot's metadata costs units it no longer pays.
+    layout_of = engine._frame_layout
+
+    def layout(function):
+        full = layout_of(function)
+        return full._replace(pointer_slots=full.pointer_slots[1:])
+
+    monkeypatch.setattr(engine, "_frame_layout", layout)
+    assert not constant_args_agree("spatial")
+
+
+def test_stack_overflow_off_by_one_frame_is_caught(call_mutant):
+    # The specialized overflow test traps one frame early.
+    applied = []
+    call_mutant(replacing("if base < stack_base:",
+                          "if base - frame_size < stack_base:", applied))
+    assert not recursion_agrees("spatial")
+    assert applied and all(applied)
 
 
 def test_shape_cache_stays_bounded(fresh_shapes, monkeypatch):
