@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-quick bench-checkopt bench-temporal bench-prove bench-serve bench-diff ci api-smoke policy-smoke fuzz-smoke store-smoke obs-smoke prove-smoke serve-smoke serve fuzz tables profile
+.PHONY: test bench bench-quick bench-checkopt bench-temporal bench-prove bench-diff ci api-smoke policy-smoke fuzz-smoke store-smoke obs-smoke prove-smoke serve-smoke serve fuzz tables profile
 
 test:            ## tier-1 test suite
 	$(PYTHON) -m pytest -x -q
@@ -24,9 +24,6 @@ bench-temporal:  ## temporal-checking overhead sweep; records BENCH_temporal.jso
 
 bench-prove:     ## -O1 vs -O2 solver-backed check elimination; records BENCH_prove.json
 	$(PYTHON) benchmarks/bench_prove.py
-
-bench-serve:     ## sustained-load benchmark of the serve daemon; records BENCH_serve.json
-	$(PYTHON) benchmarks/bench_serve.py
 
 bench-diff:      ## compare the recorded BENCH_*.json reports (bench-v2 schema)
 	$(PYTHON) scripts/bench_diff.py BENCH_checkopt.json BENCH_temporal.json

@@ -8,10 +8,10 @@ factor out common sub-expressions."
 
 This bench measures that design choice across the 15 workloads: each is
 compiled with ``optimize_checks`` off (raw instrumentation) and on
-(copyprop → cse → checkelim → licm → checkwiden → constfold → dce),
-and the cost-model overhead over the uninstrumented baseline is
-compared.  (``benchmarks/bench_checkopt.py`` isolates the loop passes'
-contribution within that pipeline.)
+(copyprop → cse → checkelim → checkwiden → constfold → dce), and the
+cost-model overhead over the uninstrumented baseline is compared.
+(``benchmarks/bench_checkopt.py`` isolates the loop pass's contribution
+within that pipeline.)
 
 Structural claims asserted:
 

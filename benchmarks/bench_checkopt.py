@@ -1,7 +1,7 @@
-"""Axis-1 gains of the loop-aware check optimizer (LICM + widening).
+"""Axis-1 gains of the loop-aware check optimizer (guarded widening).
 
 Regenerates the simulated instrumented-overhead comparison with the
-loop passes off vs on and records the canonical ``BENCH_checkopt.json``
+loop pass off vs on and records the canonical ``BENCH_checkopt.json``
 at the repo root — the baseline the CI opt-matrix leg
 (``scripts/ci.py``) gates against.  Everything measured here is
 cost-model units, deterministic on every host.

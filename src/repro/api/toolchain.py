@@ -60,8 +60,9 @@ class CompiledProgram:
     softbound_config: object = None
     pass_stats: object = None
     #: PassStats of the post-instrumentation cleanup pipeline (None for
-    #: unprotected builds or ``optimize_checks=False``); carries the
-    #: loop-pass counters (hoisted/widened/deduped).
+    #: unprotected builds or ``optimize_checks=False``; set at every
+    #: optimization level, ``-O0`` included); carries the check-pass
+    #: counters (removed/deduped/widened).
     check_opt_stats: object = None
     #: Tuple of :class:`repro.prove.Certificate` for every check the
     #: ``-O2`` prove pass deleted (None below level 2).  Read with

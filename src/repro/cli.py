@@ -108,13 +108,16 @@ def build_parser():
     run_parser.add_argument("--no-shrink-bounds", action="store_true",
                             help="disable sub-object bound shrinking")
     run_parser.add_argument("--no-optimize", action="store_true",
-                            help="skip the optimizer pipelines")
+                            help="same as -O 0: skip the "
+                                 "pre-instrumentation optimizer")
     run_parser.add_argument("-O", "--opt-level", type=int, default=None,
                             choices=(0, 1, 2), metavar="N",
-                            help="optimization level: 0 none, 1 the "
-                                 "standard pipelines (default), 2 adds "
-                                 "solver-backed static check elimination "
-                                 "(policies must declare 'provable')")
+                            help="optimization level: 0 only the "
+                                 "post-instrumentation check cleanup, 1 "
+                                 "adds the pre-instrumentation pipeline "
+                                 "(default), 2 adds solver-backed static "
+                                 "check elimination (policies must "
+                                 "declare 'provable')")
     run_parser.add_argument("--stats", action="store_true",
                             help="print cost-model statistics after the run")
     run_parser.add_argument("--json", action="store_true",
@@ -376,7 +379,6 @@ def _list_profiles(stdout, as_json=False):
                 "detects": sorted(policy.detects),
                 "capabilities": {
                     "dedupable": policy.dedupable,
-                    "hoistable": policy.hoistable,
                     "widenable": policy.widenable,
                     "provable": getattr(policy, "provable", False),
                 },

@@ -260,7 +260,7 @@ def _report(benchmark, config, rows, **summaries):
 
 def checkopt_report(workload_names=None):
     """``BENCH_checkopt.json``: per workload, the Full-Shadow overhead
-    with the loop passes (LICM + guarded check widening) off and on."""
+    with the loop pass (guarded check widening) off and on."""
     rows = {}
     for name in workload_names or WORKLOADS:
         base, off = measure_checked(name, _LOOP_OFF)

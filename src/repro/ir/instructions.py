@@ -270,18 +270,18 @@ class SbMetaClear(Instruction):
 #: and calls (the callee may store pointers or free).  Program loads
 #: and non-pointer stores cannot reach a *disjoint* table — the
 #: incorruptibility property of paper Section 3.4 — which is exactly
-#: what lets checkelim/licm deduplicate and hoist ``sb_meta_load``s
-#: across them.  Inline-metadata baselines (fatptr) violate the
-#: premise and are excluded from those passes at the pipeline level.
+#: what lets checkelim deduplicate ``sb_meta_load``s across them.
+#: Inline-metadata baselines (fatptr) violate the premise and are
+#: excluded from those passes at the pipeline level.
 METADATA_TABLE_WRITERS = frozenset(
     ["call", "memcopy", "sb_meta_store", "sb_meta_clear"])
 
 #: Opcodes that may *release a lock* (change temporal liveness): only
 #: calls — ``free`` is a call, and a frame teardown can only happen at
 #: a ``ret`` that ends the path being analyzed.  This is what lets
-#: checkelim/licm deduplicate and hoist ``sb_temporal_check``s across
-#: everything else: between two program points with no intervening
-#: call, every lock's value is provably unchanged.
+#: checkelim deduplicate ``sb_temporal_check``s across everything
+#: else: between two program points with no intervening call, every
+#: lock's value is provably unchanged.
 LOCK_RELEASERS = frozenset(["call"])
 
 

@@ -7,16 +7,14 @@ reach the latch without passing through the header.  Loops sharing a
 header are merged (the classic definition), and the resulting loops are
 arranged into a forest by block-set containment.
 
-The loop-aware check optimizer (:mod:`repro.opt.licm`,
-:mod:`repro.opt.checkwiden`) consumes this analysis and the two
-structural utilities here:
+The loop-aware check optimizer (:mod:`repro.opt.checkwiden`)
+consumes this analysis and the two structural utilities here:
 
 * :func:`ensure_preheader` — guarantee a dedicated out-of-loop block
-  whose only successor is the header, the landing pad for hoisted
-  metadata loads and widened checks.  A single entering critical edge
-  is handled with the generic :func:`repro.ir.cfg.split_edge`; multiple
-  entering edges are redirected through one fresh block
-  (:func:`make_preheader`).
+  whose only successor is the header, the landing pad for the widened
+  guard.  A single entering critical edge is handled with the generic
+  :func:`repro.ir.cfg.split_edge`; multiple entering edges are
+  redirected through one fresh block (:func:`make_preheader`).
 
 Both utilities mutate the function; any CFG/Loop objects computed
 before the mutation are stale afterwards and must be rebuilt.

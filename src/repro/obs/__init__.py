@@ -17,9 +17,9 @@ Three small, independent layers share this package:
   ``sb_meta_load``), keyed back to source lines through the
   ``obs_site`` stamps the transform leaves on every emitted check.
   Both VM engines count at identical program points; the compiled
-  engine builds counting closure variants only when a profile is
-  attached (the same make-time specialization the fusions use), so
-  the disabled path is byte-for-byte the pre-profiler code.
+  engine emits a check template's ``?profile`` counter line only when
+  a profile is attached, so the disabled path generates no profiling
+  code at all.
 
 Whether observability output is *emitted* (the ``obs`` block on run
 reports, worker snapshot merging) is controlled here: tracing on, the

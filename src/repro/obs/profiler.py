@@ -11,10 +11,9 @@ so per-site counts are bit-identical across engines, including runs
 that end in a trap or hit the instruction limit.
 
 The profiler is opt-in per machine (``machine.attach_site_profile``);
-the compiled engine only builds counting closure variants when a
-profile is attached at code-generation time (closure specialization,
-the same pattern the fusions use), so the disabled path executes the
-exact pre-profiler closures.
+the compiled engine emits a check template's ``?profile`` counter line
+only when a profile is attached at code-generation time, so the
+disabled path generates no profiling code at all.
 
 :func:`profile_source` is the high-level entry the ``python -m repro
 profile`` CLI uses: compile under a profile, run under one engine,
@@ -112,8 +111,9 @@ class ProfileReport:
     #: prove pass's solver-deleted checks).
     eliminated_static: dict = field(default_factory=dict)
     #: Check instructions whose *executions* were reduced by runtime-path
-    #: optimizations, per kind — hoisted to preheaders or widened behind
-    #: a loop guard (the instruction still exists; it just runs less).
+    #: optimizations — widened behind a loop guard (the instruction
+    #: still exists in the guarded slow loop; the fast loop runs
+    #: without it).
     eliminated_dynamic: dict = field(default_factory=dict)
     #: Number of -O2 deletion certificates the compile carries.
     certificates: int = 0
@@ -224,8 +224,6 @@ def build_report(profile_obj, result, *, program, profile_name, engine,
         },
     }
     eliminated_dynamic = {
-        "hoisted_checks": post.get("hoisted_checks", 0),
-        "hoisted_meta_loads": post.get("hoisted_meta_loads", 0),
         "widened_checks": post.get("widened_checks", 0),
     }
 
@@ -309,12 +307,8 @@ def render_table(report, top=20, out=None):
         % (static.get("sb_check", 0), static.get("sb_temporal_check", 0),
            by_proof.get("sb_check", 0), by_proof.get("sb_temporal_check", 0),
            report.certificates))
-    lines.append(
-        "eliminated dynamic: hoisted_checks=%d hoisted_meta_loads=%d "
-        "widened_checks=%d"
-        % (dynamic.get("hoisted_checks", 0),
-           dynamic.get("hoisted_meta_loads", 0),
-           dynamic.get("widened_checks", 0)))
+    lines.append("eliminated dynamic: widened_checks=%d"
+                 % dynamic.get("widened_checks", 0))
     if report.eliminated:
         for label, bag in report.eliminated.items():
             interesting = {k: v for k, v in bag.items() if v}

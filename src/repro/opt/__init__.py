@@ -1,5 +1,5 @@
 """Optimizer passes: constfold, mem2reg, dce, redundant-check
-elimination, and the loop-aware check optimizer (licm + checkwiden)."""
+elimination, and the loop-aware check optimizer (checkwiden)."""
 
 from .pipeline import PassStats, optimize_after_instrumentation, optimize_module
 

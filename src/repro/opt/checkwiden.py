@@ -90,7 +90,6 @@ from ..ir.loops import ensure_preheader, find_loops
 from ..ir.values import Const, Register, SymbolRef
 from ..policy.opcodes import traits_of
 from ..vm.costs import OP_COSTS
-from .licm import is_invariant, loop_def_counts
 
 #: Amortization floor assumed for loops whose trip count is runtime-
 #: dependent: the guard must pay for itself within this many iterations.
@@ -114,6 +113,36 @@ _CLONABLE_BINOPS = frozenset(["add", "sub", "mul", "and", "or", "xor",
 
 class _Reject(Exception):
     pass
+
+
+def loop_def_counts(func, loop):
+    """Register uid -> number of definitions inside ``loop``."""
+    counts = {}
+    for label in loop.blocks:
+        for instr in func.block_map[label].instructions:
+            dst = getattr(instr, "dst", None)
+            if dst is not None:
+                counts[dst.uid] = counts.get(dst.uid, 0) + 1
+            for attr in ("dst_base", "dst_bound", "dst_key", "dst_lock"):
+                reg = getattr(instr, attr, None)
+                if reg is not None:
+                    counts[reg.uid] = counts.get(reg.uid, 0) + 1
+            meta = getattr(instr, "sb_dst_meta", None)
+            if meta is not None:
+                for reg in meta:
+                    counts[reg.uid] = counts.get(reg.uid, 0) + 1
+    return counts
+
+
+def is_invariant(value, loop_defs):
+    """A value whose runtime meaning cannot change across iterations:
+    constants, symbols (fixed addresses), and registers never defined
+    inside the loop."""
+    if isinstance(value, (Const, SymbolRef)):
+        return True
+    if isinstance(value, Register):
+        return loop_defs.get(value.uid, 0) == 0
+    return False
 
 
 def _single_defs(func, loop):

@@ -3,26 +3,25 @@
 Mirrors the paper's compilation flow (Section 6.1): the full optimizer
 runs *before* SoftBound (so instrumentation counts reflect optimized
 code) and again *after* it (so redundant checks introduced by the
-mechanical transformation are cleaned up).
+mechanical transformation are cleaned up).  The pre-instrumentation
+pipeline runs at ``-O1`` and above; the post-instrumentation cleanup
+runs at every level, ``-O0`` included, whenever the build is protected
+and ``SoftBoundConfig.optimize_checks`` is on.
 
 The post-instrumentation pipeline is loop-aware: after the dominance
-scoped elimination of static duplicates (``checkelim``), ``licm``
-hoists loop-invariant metadata loads and header checks into loop
-preheaders, and ``checkwiden`` versions counted loops behind a widened
-preheader guard so the hot path runs check-free (see each pass's module
-docstring for the safety argument).  Pass order matters: copy
-propagation and CSE canonicalize the operand webs the check passes key
-on; constant folding and DCE run last to clean up what the loop passes
-exposed.
+scoped elimination of static duplicates (``checkelim``), ``checkwiden``
+versions counted loops behind a widened preheader guard so the hot path
+runs check-free (see each pass's module docstring for the safety
+argument).  Pass order matters: copy propagation and CSE canonicalize
+the operand webs the check passes key on; constant folding and DCE run
+last to clean up what widening exposed.
 
 Which passes apply is the checker policy's call: the post pipeline
-queries the policy's ``dedupable``/``hoistable``/``widenable``
-capability flags (:mod:`repro.policy`) instead of matching variant
-names.  The built-in declarations preserve the historical behaviour —
-loop passes only for the ``softbound`` variant proper; the baseline
-variants keep the paper's original cleanup pipeline, and
-inline-metadata baselines (``fatptr``) must not hoist table reads
-across program stores at all.
+queries the policy's ``dedupable``/``widenable`` capability flags
+(:mod:`repro.policy`) instead of matching variant names.  The built-in
+declarations preserve the historical behaviour — check widening only
+for the ``softbound`` variant proper; the baseline variants keep the
+paper's original cleanup pipeline.
 """
 
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from dataclasses import fields as _dataclass_fields
 from ..ir.module import invalidate_compiled
 from ..ir.verifier import verify_module
 from ..obs.metrics import default_registry
-from . import checkelim, checkwiden, constfold, copyprop, cse, dce, licm, mem2reg
+from . import checkelim, checkwiden, constfold, copyprop, cse, dce, mem2reg
 
 
 @dataclass
@@ -46,8 +45,6 @@ class PassStats:
     cse_replaced: int = 0
     # Loop-aware check optimizer (post-instrumentation only):
     deduped_meta_loads: int = 0
-    hoisted_meta_loads: int = 0
-    hoisted_checks: int = 0
     widened_loops: int = 0
     widened_checks: int = 0
     # Solver-backed static elimination (-O2 only):
@@ -69,21 +66,19 @@ def _publish(stats, phase):
 
 
 def _capabilities(config):
-    """``(dedupable, hoistable, widenable)`` for this build — the
-    checker policy's optimizer capability flags (queried through the
-    policy registry instead of pattern-matching variant names), gated
-    by the config's own ``loop_optimize`` ablation switch."""
+    """``(dedupable, widenable)`` for this build — the checker policy's
+    optimizer capability flags (queried through the policy registry
+    instead of pattern-matching variant names), with widening gated by
+    the config's own ``loop_optimize`` ablation switch."""
     if config is None:
-        # Uninstrumented builds carry no checks; the loop passes are
+        # Uninstrumented builds carry no checks; the check passes are
         # no-ops but harmless (historical behaviour: they run).
-        return True, True, True
+        return True, True
     from ..policy import policy_for_config
 
     policy = policy_for_config(config)
     loop_ok = getattr(config, "loop_optimize", True)
-    return (policy.dedupable,
-            policy.hoistable and loop_ok,
-            policy.widenable and loop_ok)
+    return policy.dedupable, policy.widenable and loop_ok
 
 
 def optimize_module(module, verify=True):
@@ -107,19 +102,19 @@ def optimize_after_instrumentation(module, verify=True, config=None,
                                    prove=None):
     """The post-SoftBound cleanup pipeline (the paper re-runs the full
     LLVM suite here, Section 6.1):
-    copyprop → cse → checkelim → [prove] → licm → checkwiden →
-    constfold → dce.
+    copyprop → cse → checkelim → [prove] → checkwiden → constfold →
+    dce.
 
     ``prove`` is a :class:`repro.prove.ProveConfig` (or None to skip):
     at ``-O2`` the solver-backed pass deletes checks it can prove
-    non-trapping, *before* LICM/widening so fully-proven loops need no
-    hoisting or versioning, and before DCE so the orphaned metadata
-    movs get swept.  Each deletion's
+    non-trapping, *before* widening so fully-proven loops need no
+    versioning, and before DCE so the orphaned metadata movs get
+    swept.  Each deletion's
     :class:`~repro.prove.certificate.Certificate` is collected on
     ``module.prove_certificates`` (not in the stats — the stats fields
     feed metric counters)."""
     stats = PassStats()
-    dedupable, hoistable, widenable = _capabilities(config)
+    dedupable, widenable = _capabilities(config)
     certificates = []
     for func in module.functions.values():
         stats.propagated_copies += copyprop.run(func, module)
@@ -137,10 +132,6 @@ def optimize_after_instrumentation(module, verify=True, config=None,
             stats.proved_temporal_checks += proved.proved_temporal_checks
             stats.prove_obligations += proved.obligations
             certificates.extend(proved.certificates)
-        if hoistable:
-            hoisted_meta, hoisted_checks = licm.run(func, module)
-            stats.hoisted_meta_loads += hoisted_meta
-            stats.hoisted_checks += hoisted_checks
         if widenable:
             widened_loops, widened_checks = checkwiden.run(func, module)
             stats.widened_loops += widened_loops

@@ -6,7 +6,7 @@ Two styles, both first-class under the :class:`CheckerPolicy` protocol:
   through the same IR transform as SoftBound but with their own
   metadata facility, cost keys and optimizer capabilities.  The
   fat-pointer policies keep metadata *inline* (program stores can reach
-  it), so they forfeit the hoist/widen capabilities and the transform's
+  it), so they forfeit the widen capability and the transform's
   block-local metadata-availability cache — expressed here as
   ``disjoint_metadata = False`` on their plan, not as a variant-name
   check in the transform.
@@ -39,7 +39,6 @@ class MsccPolicy(CheckerPolicy):
     config = MSCC_CONFIG
     meta_arity = 2
     dedupable = True
-    hoistable = False
     widenable = False
     # provable audit: NOT provable — MSCC omits sub-object bounds, so
     # its trap condition is coarser than the interval contract the
@@ -66,7 +65,6 @@ class FatptrNaivePolicy(CheckerPolicy):
     config = NAIVE_FATPTR_CONFIG
     meta_arity = 2
     dedupable = True
-    hoistable = False
     widenable = False
     # provable audit: NOT provable — inline metadata is clobberable by
     # program stores, so the companion (base, bound) the analyzer

@@ -1,34 +1,32 @@
 """Opcode-trait registry: what the optimizer may do with a check opcode.
 
-The loop-aware check passes (:mod:`repro.opt.checkelim`,
-:mod:`repro.opt.licm`, :mod:`repro.opt.checkwiden`) used to
-pattern-match opcode name strings (``"sb_check"``,
-``"sb_temporal_check"``, ``"sb_meta_load"``) and two hard-coded
-invalidation sets in :mod:`repro.ir.instructions`.  That closed the
+The check passes (:mod:`repro.opt.checkelim`, :mod:`repro.opt.checkwiden`)
+used to rely on two hard-coded invalidation sets in
+:mod:`repro.ir.instructions` and an opcode-name match.  That closed the
 optimizer to exactly the built-in instrumentation: a policy adding its
-own check opcode could never be deduplicated or hoisted, and — worse —
-could silently *be* moved by a pass that did not know the opcode had
-effects.
+own check opcode could never be widened, and — worse — could silently
+*be* moved past by a pass that did not know the opcode had effects.
 
 This module is the open replacement.  Every check-like opcode declares
 :class:`OpcodeTraits` describing its obligations:
 
-* ``kind`` — ``"check"``, ``"meta_load"``, ``"meta_store"``,
-  ``"meta_clear"`` or ``"other"``; the passes use it instead of opcode
-  string comparisons.
-* ``dedupable`` / ``hoistable`` / ``widenable`` — whether a dominated
-  duplicate may be removed, a loop-invariant occurrence hoisted to the
-  preheader, and a per-iteration occurrence widened behind a loop
-  guard.  An unregistered opcode has every capability off, so a plugin
-  opcode is conservatively left alone until its policy says otherwise.
+* ``widenable`` — whether :mod:`repro.opt.checkwiden` may delete a
+  per-iteration occurrence from a loop's fast version behind a widened
+  preheader guard.  A widenable opcode must carry the ``sb_check``
+  operand shape (``ptr``/``base``/``bound``/``size``) that the widened
+  guard is computed from.  An unregistered opcode is not widenable, so a plugin opcode
+  is conservatively left alone until its policy says otherwise.
 * ``writes_metadata_table`` / ``releases_locks`` — whether executing
   the opcode can invalidate metadata-table reads or temporal liveness;
-  these extend the core invalidation sets the passes consult.
-* ``provable`` — whether the ``-O2`` prove pass (:mod:`repro.prove`)
-  may statically *delete* an instance of this opcode when the solver
-  discharges its verification condition.  Requires the opcode's trap
-  condition to be exactly the modelled ``(base, bound)`` interval /
-  ``(key, lock)`` liveness contract.
+  these extend the core invalidation sets that
+  :mod:`repro.opt.checkelim` consults before reusing an earlier
+  ``sb_meta_load`` or ``sb_temporal_check``.
+
+Redundant-check elimination and the ``-O2`` prove pass
+(:mod:`repro.prove`) select the checks they may delete by opcode name
+and IR class, and whether they run at all is the policy's call
+(:class:`repro.policy.base.CheckerPolicy`'s ``dedupable`` and
+``provable``), so they read no trait here.
 
 The core SoftBound opcodes are registered here (they are the reference
 instances of the protocol); policies register additional opcodes via
@@ -46,11 +44,7 @@ class OpcodeTraits:
     """Optimizer-facing contract of one check-like opcode."""
 
     opcode: str
-    kind: str = "other"
-    dedupable: bool = False
-    hoistable: bool = False
     widenable: bool = False
-    provable: bool = False
     writes_metadata_table: bool = False
     releases_locks: bool = False
 
@@ -99,24 +93,12 @@ def lock_releaser_opcodes():
 
 # -- the core SoftBound opcodes, registered through the same door ------------
 
+register_opcode_traits(OpcodeTraits(opcode="sb_check", widenable=True))
+# Never widened: widening removes per-iteration evaluation, and
+# liveness is genuinely per-access.
+register_opcode_traits(OpcodeTraits(opcode="sb_temporal_check"))
+register_opcode_traits(OpcodeTraits(opcode="sb_meta_load"))
 register_opcode_traits(OpcodeTraits(
-    opcode="sb_check", kind="check",
-    # provable: the trap condition is exactly the modelled
-    # base <= ptr && ptr + size <= bound interval contract.
-    dedupable=True, hoistable=True, widenable=True, provable=True))
+    opcode="sb_meta_store", writes_metadata_table=True))
 register_opcode_traits(OpcodeTraits(
-    opcode="sb_temporal_check", kind="check",
-    # Dedupable and hoistable under the lock-invalidation discipline the
-    # passes implement (kill at calls); never widened — widening removes
-    # per-iteration evaluation, and liveness is genuinely per-access.
-    # provable: the immortal-lock rule can discharge global accesses.
-    dedupable=True, hoistable=True, widenable=False, provable=True))
-register_opcode_traits(OpcodeTraits(
-    opcode="sb_meta_load", kind="meta_load",
-    dedupable=True, hoistable=True))
-register_opcode_traits(OpcodeTraits(
-    opcode="sb_meta_store", kind="meta_store",
-    writes_metadata_table=True))
-register_opcode_traits(OpcodeTraits(
-    opcode="sb_meta_clear", kind="meta_clear",
-    writes_metadata_table=True))
+    opcode="sb_meta_clear", writes_metadata_table=True))

@@ -3,8 +3,8 @@
 Widened metadata (arity 4: base, bound, key, lock), the temporal check
 emitted after every spatial check, and the ``full`` configuration that
 additionally turns on function-pointer signature encoding.  Temporal
-checks dedupe and hoist under the lock-invalidation discipline (killed
-at calls) but are never widened away — liveness is per-access.
+checks dedupe under the lock-invalidation discipline (killed at calls)
+but are never widened away — liveness is per-access.
 """
 
 from ..softbound.config import TEMPORAL_HASH, TEMPORAL_SHADOW
@@ -27,7 +27,6 @@ class TemporalPolicy(CheckerPolicy):
     config = TEMPORAL_SHADOW
     meta_arity = 4
     dedupable = True
-    hoistable = True
     widenable = True
     # provable audit: spatial checks as in SpatialPolicy; temporal
     # checks are only ever deleted under the immortal-lock rule

@@ -1,8 +1,8 @@
 """``repro.prove`` — solver-backed static check elimination.
 
-The dynamic optimizer (:mod:`repro.opt`) dedupes, hoists and widens
-checks; this subsystem goes one step further and *deletes* checks it can
-prove will never trap, at the new optimization level ``-O2``:
+The dynamic optimizer (:mod:`repro.opt`) dedupes and widens checks;
+this subsystem goes one step further and *deletes* checks it can prove
+will never trap, at the new optimization level ``-O2``:
 
 1. :mod:`repro.prove.absint` — an intra-procedural value-range /
    abstract-interpretation engine over the IR.  Pointers are tracked as

@@ -1,8 +1,8 @@
 """The ``-O2`` prove pass: analyze, discharge, delete, certify.
 
 Runs per function after the dynamic check optimizations (dedup/elim)
-and before LICM/widening — a check that is provably redundant should be
-*deleted*, not hoisted or versioned.  For each function:
+and before widening — a check that is provably redundant should be
+*deleted*, not versioned.  For each function:
 
 1. :func:`repro.prove.absint.analyze` computes abstract environments.
 2. :func:`repro.prove.vcgen.obligations` turns every reached check into

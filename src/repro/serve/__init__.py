@@ -8,9 +8,9 @@ daemons; this package turns the reproduction itself into one.
 and executes them (:mod:`~repro.serve.workers`) on the persistent,
 crash-isolated workers of :mod:`repro.harness.pool` under per-request
 QoS budgets
-(:mod:`~repro.serve.qos`).  :mod:`~repro.serve.loadgen` is the matching
-deterministic traffic generator the benchmark and smoke drills drive
-the daemon with.
+(:mod:`~repro.serve.qos`).  :mod:`~repro.serve.loadgen` builds the
+seeded request mix that the pipeline benchmark's ``serve-warm`` workload
+drives the daemon with.
 
 See ``docs/SERVE.md`` for the wire API, the status/degradation matrix
 and the ops runbook.

@@ -1,8 +1,8 @@
 """Deterministic traffic generation for the serve daemon.
 
 The paper's compatibility study drove SoftBound-protected *servers*
-(tinyftp, nhttpd) with request streams; this module drives the
-*service* with a mixed stream grown out of those same workloads:
+(tinyftp, nhttpd) with request streams; this module builds a mixed
+request stream for the *service* out of those same workloads:
 
 * the two server programs replayed under escalating protection
   profiles, each response checked against the workload's expected
@@ -15,26 +15,18 @@ The paper's compatibility study drove SoftBound-protected *servers*
   worker is ever involved.
 
 The mix is built from a seed (``random.Random(seed)`` shuffle) so two
-runs against two builds replay byte-identical traffic — the load
-numbers in ``BENCH_serve.json`` are comparable across commits.  The
-driver is a plain thread pool over ``urllib`` (standard library only),
-recording per-request status + latency.
+runs against two builds replay byte-identical traffic.  Each
+:class:`TrafficItem` carries its own acceptance oracle; the pipeline
+benchmark's serve workload (``python3 perfbench/run.py --workload
+serve-warm``) drives a daemon with this mix and judges every response
+by it.
 """
 
 import base64
-import json
 import random
-import threading
-import time
-import urllib.error
-import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_SEED = 20090615  # PLDI'09
-
-#: Per-request client timeout (seconds) — comfortably past the QoS
-#: deadline so the daemon, not the client, decides 504s.
-CLIENT_TIMEOUT = 60.0
 
 
 @dataclass(frozen=True)
@@ -48,54 +40,6 @@ class TrafficItem:
     doc: object
     expect_status: tuple
     expect_fragments: tuple = ()
-
-
-@dataclass
-class RequestSample:
-    """What one request actually did."""
-
-    name: str
-    category: str
-    status: int
-    seconds: float
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class LoadResult:
-    """All samples from one generator run plus the wall time."""
-
-    samples: list = field(default_factory=list)
-    wall_seconds: float = 0.0
-
-    @property
-    def requests_per_second(self):
-        if self.wall_seconds <= 0:
-            return 0.0
-        return len(self.samples) / self.wall_seconds
-
-    @property
-    def errors(self):
-        return [s for s in self.samples if not s.ok]
-
-    def latencies(self, category=None):
-        return sorted(s.seconds for s in self.samples
-                      if category is None or s.category == category)
-
-    def percentile(self, quantile, category=None):
-        """Nearest-rank percentile over recorded latencies (seconds)."""
-        ordered = self.latencies(category)
-        if not ordered:
-            return 0.0
-        rank = max(int(round(quantile * len(ordered) + 0.5)) - 1, 0)
-        return ordered[min(rank, len(ordered) - 1)]
-
-    def by_category(self):
-        out = {}
-        for sample in self.samples:
-            out.setdefault(sample.category, []).append(sample)
-        return out
 
 
 def _server_items():
@@ -143,7 +87,7 @@ def _bugbench_items(limit=None):
         bugs = bugs[:limit]
     # Detection is profile-dependent (the paper's Table 4): accept
     # either verdict here — correctness of the verdicts themselves is
-    # the detection matrix's test, not the load harness's.
+    # the detection matrix's test, not the traffic mix's.
     return [TrafficItem(
         name=f"bugbench-{bug.name}",
         category="bugbench",
@@ -194,71 +138,3 @@ def build_mix(seed=DEFAULT_SEED, servers=True, attacks=6, bugs=4,
         rng.shuffle(batch)
         mix.extend(batch)
     return mix
-
-
-def _drive_one(base_url, item):
-    if isinstance(item.doc, (bytes, bytearray)):
-        body = bytes(item.doc)
-    else:
-        body = json.dumps(item.doc, sort_keys=True).encode("utf-8")
-    request = urllib.request.Request(
-        base_url.rstrip("/") + item.route, data=body, method="POST",
-        headers={"Content-Type": "application/json"})
-    started = time.perf_counter()
-    try:
-        with urllib.request.urlopen(request, timeout=CLIENT_TIMEOUT) as resp:
-            status, payload = resp.status, resp.read()
-    except urllib.error.HTTPError as error:
-        status, payload = error.code, error.read()
-    except (urllib.error.URLError, TimeoutError, OSError) as error:
-        seconds = time.perf_counter() - started
-        return RequestSample(name=item.name, category=item.category,
-                             status=0, seconds=seconds, ok=False,
-                             detail=f"transport error: {error}")
-    seconds = time.perf_counter() - started
-    ok = status in item.expect_status
-    detail = "" if ok else f"status {status} not in {item.expect_status}"
-    if ok and item.expect_fragments:
-        try:
-            output = json.loads(payload).get("output") or ""
-        except (ValueError, AttributeError):
-            output = ""
-        missing = [f for f in item.expect_fragments if f not in output]
-        if missing:
-            ok = False
-            detail = f"output missing fragments: {missing}"
-    return RequestSample(name=item.name, category=item.category,
-                         status=status, seconds=seconds, ok=ok,
-                         detail=detail)
-
-
-def run_load(base_url, items, concurrency=4):
-    """Drive ``items`` against a running daemon with ``concurrency``
-    client threads; returns a :class:`LoadResult`.  Requests are issued
-    in mix order (a shared cursor), so the interleaving — unlike the
-    per-request timings — is deterministic per seed."""
-    items = list(items)
-    samples = [None] * len(items)
-    cursor = [0]
-    lock = threading.Lock()
-
-    def client():
-        while True:
-            with lock:
-                index = cursor[0]
-                if index >= len(items):
-                    return
-                cursor[0] += 1
-            samples[index] = _drive_one(base_url, items[index])
-
-    threads = [threading.Thread(target=client, name=f"loadgen-{n}",
-                                daemon=True)
-               for n in range(max(int(concurrency), 1))]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - started
-    return LoadResult(samples=[s for s in samples if s is not None],
-                      wall_seconds=wall)

@@ -38,13 +38,13 @@ class SoftBoundConfig:
     #: skip metadata copying when safe (Section 5.2's heuristic).
     infer_memcpy: bool = True
     #: Run the post-instrumentation optimization pipeline (redundant
-    #: check elimination etc., Section 6.1).
+    #: check elimination etc., Section 6.1).  It runs at every
+    #: optimization level, ``-O0`` included.
     optimize_checks: bool = True
-    #: Run the loop-aware check optimizer inside that pipeline (LICM of
-    #: invariant metadata loads/checks plus guarded check widening —
-    #: :mod:`repro.opt.licm`, :mod:`repro.opt.checkwiden`).  Only the
+    #: Run the loop-aware check optimizer inside that pipeline (guarded
+    #: check widening, :mod:`repro.opt.checkwiden`).  Only the
     #: ``softbound`` variant honours it; the ablation benchmarks turn
-    #: it off to isolate the loop passes' contribution.
+    #: it off to isolate the loop pass's contribution.
     loop_optimize: bool = True
     #: Encode each function's pointer/non-pointer argument signature and
     #: verify it dynamically at indirect calls.  This is the "ultimate

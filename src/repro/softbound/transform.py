@@ -126,8 +126,8 @@ class _FunctionTransform:
         # the slot's full entry — (base, bound) spatially, widened to
         # (base, bound, key, lock) temporally — already in registers.
         # Emitting one canonical SbMetaLoad per slot per block (instead
-        # of one per pointer load) is what makes the shapes hoist- and
-        # dedup-friendly downstream (checkelim, licm), and it is only
+        # of one per pointer load) is what makes the shapes
+        # dedup-friendly downstream (checkelim), and it is only
         # sound for *disjoint* metadata facilities, where program stores
         # cannot touch the table: the inline-metadata baselines
         # (fatptr_*) observe every store and must re-read.
@@ -343,7 +343,7 @@ class _FunctionTransform:
         # site identity: (pre-rename function, source line of the
         # guarded instruction, per-function sequence).  The obs
         # profiler keys execution counts on these; copy-based cloning
-        # downstream (hoist/widen) preserves them.
+        # downstream (widening's loop versions) preserves them.
         line = getattr(instr, "src_line", None)
         name = self.func.name
         for emitted in self.out[start:]:

@@ -383,9 +383,12 @@ class Machine:
         return self.call_sites[key]
 
     def _call_function(self, function, args, site_id, arg_metas=None):
-        """Push a frame and run ``function`` to completion (the machine
-        recurses through Python for calls; the *simulated* stack still
-        holds FP/RA bytes so attacks behave realistically)."""
+        """Push the entry frame and run ``function`` to completion.
+        Calls inside the program push their frames within the same
+        dispatch loop (the interpreter's ``_execute_interp`` or the
+        compiled engine's ``execute``) instead of recursing through
+        Python; the *simulated* stack still holds FP/RA bytes so attacks
+        behave realistically."""
         frame = self._push_frame(function, args, site_id, arg_metas)
         return self._execute(frame)
 

@@ -53,6 +53,35 @@ class TestStages:
         stages = [s for kind, s in observer.events if kind == "before"]
         assert stages == ["parse", "typecheck", "lower"]
 
+    def test_o0_protected_build_still_runs_post_optimize(self):
+        """-O0 skips only the pre-instrumentation pipeline: a protected
+        build still runs the post-instrumentation check cleanup, unless
+        its config turns ``optimize_checks`` off."""
+        from dataclasses import replace
+
+        from repro.api import ProtectionProfile
+        from repro.softbound.config import FULL_SHADOW
+
+        observer = RecordingObserver()
+        compiled = Toolchain(profile="spatial", optimize=0,
+                             observers=(observer,)).compile(PROGRAM)
+        stages = [s for kind, s in observer.events if kind == "before"]
+        assert stages == ["parse", "typecheck", "lower", "instrument",
+                          "post-optimize"]
+        assert compiled.pass_stats is None
+        assert compiled.check_opt_stats is not None
+        assert compiled.check_opt_stats.removed_checks > 0
+
+        raw = ProtectionProfile.from_config(
+            replace(FULL_SHADOW, optimize_checks=False))
+        observer = RecordingObserver()
+        compiled = Toolchain(profile=raw, optimize=0,
+                             observers=(observer,)).compile(PROGRAM)
+        stages = [s for kind, s in observer.events if kind == "before"]
+        assert stages == ["parse", "typecheck", "lower", "instrument"]
+        assert compiled.pass_stats is None
+        assert compiled.check_opt_stats is None
+
 
 class TestArtifacts:
     def test_every_run_intermediate_is_retrievable(self):

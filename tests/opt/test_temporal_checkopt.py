@@ -1,9 +1,10 @@
-"""The optimizer's temporal hooks: checkelim dedup and licm hoisting.
+"""The optimizer's temporal hooks: checkelim dedup.
 
 Counts are asserted through the pipeline's PassStats and behaviour is
-pinned by running the optimized build: a deduplicated or hoisted
-temporal check must still catch every stale access (the equivalence
-suites cover the full corpora; here the shapes are targeted).
+pinned by running the optimized build: a deduplicated temporal check
+must still catch every stale access (the equivalence suites cover the
+full corpora, and ``tests/vm/test_loopopt_equivalence.py`` an invariant
+temporal loop header; here the shapes are targeted).
 """
 
 from repro.api import compile_source
@@ -27,27 +28,8 @@ int main(void) {
 }
 '''
 
-#: A call-free loop whose *condition* derefs an invariant pointer: the
-#: header spatial check and the temporal check behind it are both
-#: hoistable (licm hoists header checks only; body checks belong to
-#: checkwiden's loop versioning).
-_INVARIANT_LOOP = r'''
-int data[4];
-int main(void) {
-    int *p = data;
-    int total = 0;
-    int i = 0;
-    while (*p + i < 64) {        /* invariant header deref */
-        i++;
-        total += i;
-    }
-    return total & 63;
-}
-'''
-
-#: The same loop shape but with a call inside: lock state may change
-#: every iteration, so nothing temporal may move or be deduplicated
-#: across iterations.
+#: A loop with a call inside: lock state may change every iteration,
+#: so nothing temporal may move or be deduplicated across iterations.
 _LOOP_WITH_FREE = r'''
 int main(void) {
     long **cells = (long **)malloc(8 * sizeof(long *));
@@ -104,13 +86,6 @@ def test_checkelim_dedupes_dominated_temporal_checks():
     assert stats.removed_temporal_checks >= 1, stats
     result = compiled.run()
     assert result.trap is None and result.exit_code == 7
-
-
-def test_licm_hoists_invariant_temporal_check_from_call_free_loop():
-    compiled, stats = _stats(_INVARIANT_LOOP)
-    assert stats.hoisted_checks >= 2, stats  # spatial + temporal pair
-    result = compiled.run()
-    assert result.trap is None and result.exit_code == 32
 
 
 def test_loop_with_free_keeps_per_iteration_temporal_checks():

@@ -265,17 +265,26 @@ class TestVmOpcodeExtension:
 class TestOpcodeTraits:
     def test_core_traits_registered(self):
         assert traits_of("sb_check").widenable
-        assert traits_of("sb_temporal_check").dedupable
         assert not traits_of("sb_temporal_check").widenable
+        assert not traits_of("sb_meta_load").writes_metadata_table
         assert traits_of("sb_meta_store").writes_metadata_table
+        assert traits_of("sb_meta_clear").writes_metadata_table
+
+    def test_traits_carry_only_what_the_passes_read(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(OpcodeTraits)] == [
+            "opcode", "widenable", "writes_metadata_table",
+            "releases_locks"]
 
     def test_unknown_opcode_has_no_capabilities(self):
         traits = traits_of("never_registered")
-        assert not (traits.dedupable or traits.hoistable or traits.widenable)
+        assert not (traits.widenable or traits.writes_metadata_table
+                    or traits.releases_locks)
 
     def test_registered_traits_extend_invalidation_sets(self):
         register_opcode_traits(OpcodeTraits(
-            opcode="test_table_poke", kind="meta_store",
+            opcode="test_table_poke",
             writes_metadata_table=True, releases_locks=True))
         assert "test_table_poke" in table_writer_opcodes()
         assert "test_table_poke" in lock_releaser_opcodes()

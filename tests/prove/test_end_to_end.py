@@ -61,9 +61,9 @@ def test_o2_deletes_loop_checks_with_certificates():
     r2 = run_compiled(o2, profile="spatial")
     assert r1.trap is None and r2.trap is None
     assert (r1.exit_code, r1.output) == (r2.exit_code, r2.output)
-    # -O1 already hoisted these loop checks out of the loop (they run
-    # once, off the trip count); -O2 deletes them outright, so the
-    # proved build is strictly cheaper and strictly shorter.
+    # -O1 already widened these loop checks behind a preheader guard
+    # (the fast loop runs none of them); -O2 deletes them outright, so
+    # the proved build is strictly cheaper and strictly shorter.
     assert r2.stats.cost < r1.stats.cost
     assert r2.stats.instructions < r1.stats.instructions
 
@@ -155,8 +155,7 @@ def test_cli_profile_emits_elimination_counters(tmp_path):
     assert static["by_proof"]["sb_check"] > 0
     assert report["certificates"] == static["by_proof"]["sb_check"] \
         + static["by_proof"]["sb_temporal_check"]
-    assert set(report["eliminated_dynamic"]) == {
-        "hoisted_checks", "hoisted_meta_loads", "widened_checks"}
+    assert set(report["eliminated_dynamic"]) == {"widened_checks"}
     # the proved sites keep a zero-total row instead of vanishing
     proved_rows = [row for row in report["sites"]
                    if row.get("proved", 0) > 0]

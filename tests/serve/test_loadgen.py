@@ -1,13 +1,6 @@
-"""Load-mix construction and result math — no daemon required."""
+"""Load-mix construction — no daemon required."""
 
-import pytest
-
-from repro.serve.loadgen import (
-    DEFAULT_SEED,
-    LoadResult,
-    RequestSample,
-    build_mix,
-)
+from repro.serve.loadgen import DEFAULT_SEED, build_mix
 
 
 class TestBuildMix:
@@ -41,44 +34,3 @@ class TestBuildMix:
         for item in build_mix(servers=False, bugs=0, malformed=False):
             assert item.expect_status == (403,)
             assert item.route == "/run"
-
-
-class TestLoadResult:
-    def _result(self, latencies, category="server", ok=True):
-        samples = [RequestSample(name=f"s{n}", category=category,
-                                 status=200, seconds=sec, ok=ok,
-                                 detail="")
-                   for n, sec in enumerate(latencies)]
-        return LoadResult(samples=samples, wall_seconds=2.0)
-
-    def test_requests_per_second(self):
-        result = self._result([0.1] * 10)
-        assert result.requests_per_second == pytest.approx(5.0)
-
-    def test_percentile_nearest_rank(self):
-        result = self._result([0.01 * n for n in range(1, 101)])
-        assert result.percentile(0.5) == pytest.approx(0.5)
-        # The estimator rounds the rank up at the tail — a p99 that
-        # overstates latency is safe, one that understates is not.
-        assert result.percentile(0.99) >= 0.99
-        assert result.percentile(1.0) == pytest.approx(1.0)
-
-    def test_percentile_empty_category(self):
-        result = self._result([0.1], category="server")
-        assert result.percentile(0.5, category="attack") == 0.0
-
-    def test_errors_counted(self):
-        good = self._result([0.1] * 3)
-        bad = self._result([0.1] * 2, ok=False)
-        merged = LoadResult(samples=good.samples + bad.samples,
-                            wall_seconds=1.0)
-        assert len(merged.errors) == 2
-        assert all(not sample.ok for sample in merged.errors)
-
-    def test_by_category_partitions(self):
-        servers = self._result([0.1] * 3).samples
-        attacks = self._result([0.2] * 2, category="attack").samples
-        merged = LoadResult(samples=servers + attacks, wall_seconds=1.0)
-        grouped = merged.by_category()
-        assert len(grouped["server"]) == 3
-        assert len(grouped["attack"]) == 2
