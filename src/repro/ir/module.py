@@ -142,6 +142,14 @@ class Module:
         self.globals = {}  # name -> GlobalVar
         self._string_count = 0
 
+    def __getstate__(self):
+        # Instantiating a machine memoizes the module's load plan
+        # (``repro.vm.machine._load_plan``); a pickle leaves it out and
+        # stays the same before and after a run.
+        state = dict(self.__dict__)
+        state.pop("_load_plan", None)
+        return state
+
     def add_function(self, function):
         self.functions[function.name] = function
         return function

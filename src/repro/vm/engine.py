@@ -31,13 +31,17 @@ applied per *region* rather than per instruction:
   to argument positions; the op binds the callee's registers as one
   dict display, packs the saved FP and return address straight into
   the stack segment and acquires the frame's temporal lock itself, and
-  call shapes are cached with the region shapes.  Indirect calls,
-  variadic callees, observed machines and arguments naming an
-  unresolved symbol (whose evaluation must trap) take the
-  interpreter's frame push.  On an unobserved machine ``ret`` tears
-  the frame down inline: it clears the metadata of the function's
-  pointer-bearing slots (its frame layout's ``pointer_slots``) and
-  releases the frame's lock;
+  call shapes are cached with the region shapes.  A direct call to a
+  libc routine is generated the same way: ``Libc.call``'s split of the
+  arguments from their metadata is applied once per call site to
+  argument positions, and the op calls the routine's handler with the
+  two lists.  Indirect calls, variadic callees, observed machines and
+  arguments naming an unresolved symbol (whose evaluation must trap)
+  take the interpreter's frame push or ``Libc.call``.  ``ret`` is
+  generated too, with inlined reads of the returned value and
+  metadata; on an unobserved machine it tears the frame down inline:
+  it clears the metadata of the function's pointer-bearing slots (its
+  frame layout's ``pointer_slots``) and releases the frame's lock;
 * an opcode a checker policy registers with only an interpreter
   handler is a one-instruction region that always runs through that
   handler (:func:`_interpret`) and is never compiled;
@@ -83,8 +87,13 @@ kinds and batched amounts of a region's instructions form its *shape*;
 (the way :mod:`dataclasses` and ``namedtuple`` build their methods).
 Shapes are cached per process in ``_SHAPES``, an LRU bounded to
 :data:`SHAPE_CACHE_ENTRIES`, and keep no copy of their source: a lazy
-:mod:`linecache` entry regenerates it when a traceback asks.
-Specializing a region is then one factory call with the bound values.
+:mod:`linecache` entry regenerates it when a traceback asks.  A factory
+reads the values that belong to one machine (its stats, budget, slow
+path, memory and segment handles, runtime, facility, lock table,
+site-profile counts, stack data: the names of :data:`_MACHINE`) from
+the machine's values ``M`` and takes every other bound value as a
+parameter; specializing a region is then one factory call with ``M``
+and the bound values.
 
 **Profiling is a flag.**  The check-site counter is one ``?profile``
 line at the start of each profiled template (the same program point the
@@ -92,15 +101,28 @@ interpreter records at), closing over the profile's ``counts`` dict;
 with no profile attached the line is absent, so the disabled path builds
 no profiling closure at all.
 
-Compilation is two-level so its cost amortizes across runs: the
-machine-independent layout (flat offsets, regions) is cached on each
-function and invalidated via its blocks' ``version`` stamps; the
-per-:class:`~repro.vm.machine.Machine` specialization happens lazily,
-one op at a time.  A region's first :data:`HOT_RUNS` - 1 executions run
-through the reference interpreter's handlers and the next one compiles
-it: most code of a short run (a freshly generated program) executes a
-few times at most, and interpreting a region a few times costs far less
-than generating and specializing it.
+**Warm up once per program.**  A program pays for specialization once,
+not once per machine: the machine-independent layout (flat offsets,
+regions, call and ret sites) is cached on each function and
+invalidated via its blocks' ``version`` stamps, and it keeps what
+earlier machines of the program specialized.  Each region counts its
+executions over all machines of the program: its first
+:data:`HOT_RUNS` - 1 run through the reference interpreter's handlers
+and the next one compiles it, so a region that was hot on an earlier
+machine compiles at its first execution on a later one.  Each region,
+call and ret site keeps one *entry* per machine signature
+(:func:`_signature`: whether observers and a site profile are attached,
+the SoftBound runtime's policy and config, the heap and stack geometry,
+and the shape generation, which :func:`clear_shapes` bumps): the shape's
+factory with the bound values, which are the same on every machine of
+that signature.  The first such machine runs the binders and stores
+the entry; a later one specializes each op lazily, at its first
+execution, with one factory call on its own values.  Entries
+hold program-level objects only, stay out of pickles with the layout
+(``Function.__getstate__``) and are freed with their program.  Most
+code of a short run (a freshly generated program) executes a few times
+at most, and interpreting a region a few times costs far less than
+generating and specializing it.
 
 Semantics are bit-identical to the reference interpreter — execution
 order, trap kinds/addresses/messages and every
@@ -122,6 +144,7 @@ from ..store.lru import LRUCache
 from .costs import OP_COSTS
 from .dispatch import INTERP_HANDLERS
 from .errors import Trap, TrapKind, temporal_violation
+from .libc import Libc
 from .memory import _F64, _SCALAR_CODECS
 from .machine import (
     INT_OPERATORS,
@@ -133,13 +156,16 @@ from .machine import (
     param_bindings,
 )
 
-#: A region's first ``HOT_RUNS - 1`` executions run through the
-#: interpreter's handlers and the next one compiles it.  Measured with
-#: perfbench on a 2-vCPU VM (see PERFORMANCE.md, "Engine architecture"):
-#: compiling at the first execution costs fresh-batch latency, at the
-#: second serve-warm tail latency (binding regions a fresh machine runs
-#: only a few times), and 16 serve-warm median latency (loops stay
-#: interpreted longer); 4 and 8 measured alike, and 4 is the smaller.
+#: A region's first ``HOT_RUNS - 1`` executions, counted over every
+#: machine of its program, run through the interpreter's handlers and
+#: the next one compiles it; on later machines it compiles at its first
+#: execution.  Measured with perfbench on a 2-vCPU VM (see
+#: PERFORMANCE.md, "Engine architecture"), when each machine still
+#: counted its own executions: compiling at the first execution costs
+#: fresh-batch latency, at the second serve-warm tail latency (binding
+#: regions a fresh machine runs only a few times), and 16 serve-warm
+#: median latency (loops stay interpreted longer); 4 and 8 measured
+#: alike, and 4 is the smaller.
 HOT_RUNS = 4
 
 #: Bound on the per-process shape cache.  One pass over the corpus
@@ -180,20 +206,32 @@ class ClosureEngine:
         self._code = {}  # id(function) -> flat ops list
         self._ret_value = None
         self._returned = False
+        self._rekey()
+
+    def _rekey(self):
+        """Name this machine's values (:func:`_machine_values`) and its
+        signature (:func:`_signature`), the key its specializations are
+        cached under on the program."""
+        self.values = _machine_values(self)
+        self.signature = _signature(self.machine)
 
     def invalidate(self):
-        """Drop machine-level specializations.  This is the ONLY way to
-        re-translate code on a *live* engine (e.g. after attaching an
-        observer): block ``version`` stamps invalidate the on-function
-        layout consulted at compile time, but a function already in
-        ``_code`` is never re-checked against them."""
+        """Drop machine-level specializations and re-key the engine.
+        This is the ONLY way to re-translate code on a *live* engine
+        (e.g. after attaching an observer or a site profile): block
+        ``version`` stamps invalidate the on-function layout consulted
+        at compile time, but a function already in ``_code`` is never
+        re-checked against them."""
         self._code.clear()
+        self._rekey()
 
     # -- operand pre-resolution -------------------------------------------
 
     def acc(self, operand):
         """Compile an operand into a ``fn(regs) -> value`` accessor with
-        the isinstance tests done exactly once, here."""
+        the isinstance tests done exactly once, here.  Symbols resolve
+        through the module's load plan, so an accessor is the same on
+        every machine of a program."""
         if isinstance(operand, Register):
             uid = operand.uid
 
@@ -222,10 +260,10 @@ class ClosureEngine:
     def code_for(self, function):
         """The op list for ``function`` on this machine, one slot per
         flat instruction offset.  A region's slot is its first
-        instruction's and starts as a stub that interprets the region
-        (:func:`_cold`); a call, ret, interp-only or sentinel slot
-        starts as a stub that specializes the op at its first
-        execution.  The other slots of a region are ``None``: nothing
+        instruction's and starts as a stub (:func:`_cold`) that
+        interprets the region until it is hot on the program, then
+        binds it; a call, ret, interp-only or sentinel slot starts as a
+        stub that specializes the op at its first execution.  The other slots of a region are ``None``: nothing
         resumes inside a region.
 
         The machine-level cache is validated once here, not per
@@ -236,10 +274,9 @@ class ClosureEngine:
         """
         layout = _function_template(function)
         ops = [None] * len(layout)
-        runs = [0] * len(layout)
         for i, entry in enumerate(layout):
             if isinstance(entry, _Region):
-                ops[i] = partial(_cold, ops, runs, i, entry, self, function)
+                ops[i] = partial(_cold, ops, i, entry, self, function)
             elif entry is not None:
                 ops[i] = partial(_specialize, ops, i, entry, self, function)
         self._code[id(function)] = ops
@@ -283,13 +320,63 @@ class ClosureEngine:
                 i = ops[i](frame, regs)
 
 
-def _cold(ops, runs, i, region, engine, function, frame, regs):
-    """A region's execution before it is hot: the first ``HOT_RUNS - 1``
-    run through the reference interpreter's handlers, the next one
-    compiles the region and runs the compiled op."""
-    seen = runs[i] + 1
+def _machine_values(engine):
+    """The values a specialization takes from its machine, by the names
+    of :data:`_MACHINE`."""
+    machine = engine.machine
+    memory = engine.memory
+    runtime = machine.sb_runtime
+    facility = lockspace = None
+    if runtime is not None:
+        facility = runtime.facility
+        lockspace = runtime.lockspace
+    profile = machine.site_profile
+    return {
+        "engine": engine, "machine": machine, "st": engine.stats,
+        "limit": engine.limit, "observers": engine.observers,
+        "memory": memory, "runtime": runtime, "facility": facility,
+        "counts": None if profile is None else profile.counts,
+        "segment_for": memory._segment_for, "cached": memory.heap,
+        "slots": {} if lockspace is None else lockspace.slots,
+        "frames": machine.frames, "stack_data": memory.stack.data,
+        "libc": machine.libc, "addr_to_function": machine.addr_to_function,
+        "read_u64": memory.scalar_reader(8, False),
+        "check_signature": machine._check_call_signature,
+        "pop_frame": machine._pop_frame,
+        "clear_range": None if facility is None else facility.clear_range,
+        "acquire": None if lockspace is None else lockspace.acquire,
+        "release": None if lockspace is None else lockspace.release,
+    }
+
+
+#: Each machine signature seen, numbered (a small int hashes at once).
+_SIGNATURES = {}
+
+
+def _signature(machine):
+    """The key a program keeps a specialization under: everything a
+    binder reads from the machine beyond the machine values — whether
+    observers and a site profile are attached, the SoftBound runtime's
+    policy and config, the heap and stack geometry — and the shape
+    generation (:func:`clear_shapes`), numbered in :data:`_SIGNATURES`."""
+    runtime = machine.sb_runtime
+    heap = machine.memory.heap
+    stack = machine.memory.stack
+    key = (bool(machine.observers), machine.site_profile is not None,
+           None if runtime is None else (runtime.policy, runtime.config),
+           heap.base, heap.end, stack.base, stack.end, _generation)
+    return _SIGNATURES.setdefault(key, len(_SIGNATURES))
+
+
+def _cold(ops, i, region, engine, function, frame, regs):
+    """A region's execution before it is hot: the program's first
+    ``HOT_RUNS - 1`` executions of it, over all its machines, run
+    through the reference interpreter's handlers; from the next one on,
+    each machine binds the region at its first execution and runs the
+    compiled op."""
+    seen = region.runs + 1
     if seen < HOT_RUNS:
-        runs[i] = seen
+        region.runs = seen
         return _interpret(engine, region, frame, regs)
     op = ops[i] = _bind_region(region, engine, function)
     return op(frame, regs)
@@ -341,15 +428,20 @@ def _interpret(engine, region, frame, regs):
 class _Region:
     """One straight-line run of ``block``: ``instrs``, then the op at
     flat offset ``nxt`` unless the last instruction is a terminator;
-    ``offsets`` maps the function's block labels to flat offsets."""
+    ``offsets`` maps the function's block labels to flat offsets.
+    ``runs`` counts its interpreted executions over every machine of
+    the program, and ``entries`` maps a machine signature to the
+    region's specialization on such machines (:func:`_bind_region`)."""
 
-    __slots__ = ("instrs", "block", "offsets", "nxt")
+    __slots__ = ("instrs", "block", "offsets", "nxt", "runs", "entries")
 
     def __init__(self, instrs, block, offsets, nxt):
         self.instrs = tuple(instrs)
         self.block = block
         self.offsets = offsets
         self.nxt = nxt
+        self.runs = 0
+        self.entries = {}
 
 
 def _function_template(function):
@@ -384,9 +476,11 @@ def _function_template(function):
                 layout[base + start] = _Region(instrs[start:i], block,
                                                offsets, base + i)
             if opcode == "call":
-                layout[base + i] = _build_call(instr, base + i, block)
+                # index and block: setjmp records the call site.
+                layout[base + i] = _per_signature(
+                    partial(_call_entry, instr, base + i, block))
             elif opcode == "ret":
-                layout[base + i] = _build_ret(instr)
+                layout[base + i] = _per_signature(partial(_ret_entry, instr))
             elif opcode in INTERP_HANDLERS:
                 layout[base + i] = _build_interp(
                     _Region((instr,), block, offsets, base + i + 1))
@@ -583,6 +677,23 @@ _OUTPUTS = {"value": (("dst", "value"),),
 _SHARED = frozenset(("st", "limit", "nxt", "slow", "counts", "observers",
                      "memory", "runtime", "facility"))
 
+#: The names whose values belong to one machine, and how a generated
+#: factory computes each from the machine's values ``M``
+#: (:func:`_machine_values`; ``{sfx}`` is the name's instruction
+#: suffix).  Every other name a shape binds is the same on every
+#: machine of a program, so a specialization cached on the program
+#: (its factory and those values) binds to a new machine with one
+#: factory call.
+_MACHINE = {name: f'M["{name}"]' for name in (
+    "engine", "machine", "st", "limit", "observers", "memory", "runtime",
+    "facility", "counts", "segment_for", "cached", "slots", "frames",
+    "stack_data", "libc", "addr_to_function", "read_u64",
+    "check_signature", "pop_frame", "clear_range", "acquire", "release")}
+_MACHINE.update(slow='partial(_interpret, M["engine"], region)',
+                read='_reader(M["memory"], size{sfx})',
+                write='_writer(M["memory"], size{sfx})',
+                handler='M["libc"].handler(target_name)')
+
 _HOLE = re.compile(r"int\(\$(\w+)\)|\$(\w+)")
 #: Names a template line assigns (``a = ``, ``base, bound = ``, ``for x in``).
 _ASSIGNED = re.compile(r"\s*(?:for )?(\w+(?:, \w+)*) (?:[-+]?= |in )")
@@ -607,8 +718,15 @@ def _drop_source(key, shape):
 _SHAPES = LRUCache(SHAPE_CACHE_ENTRIES, on_evict=_drop_source)
 
 
+#: Bumped by :func:`clear_shapes`; part of every machine signature, so
+#: it also retires the specializations cached on programs.
+_generation = 0
+
+
 def clear_shapes():
     """Forget every generated shape (after a template is changed)."""
+    global _generation
+    _generation += 1
     _TEXTS.clear()
     _SHAPES.clear()
     for name in [name for name in linecache.cache
@@ -623,7 +741,7 @@ class _Text:
     through int())``, the names its lines assign, and the amount of each
     batched counter line: a number, or the name of a bound value."""
 
-    __slots__ = ("lines", "holes", "assigned", "amounts")
+    __slots__ = ("lines", "holes", "assigned", "amounts", "machine")
 
     def __init__(self, name, flags):
         self.lines = []
@@ -655,6 +773,9 @@ class _Text:
         self.holes = tuple(holes.items())
         self.assigned = frozenset(assigned)
         self.amounts = tuple(amounts)
+        self.machine = frozenset(m.group() for _, line in self.lines
+                                 for m in _WORD.finditer(line)
+                                 if m.group() in _MACHINE)
 
 
 def _text(text_key):
@@ -710,12 +831,13 @@ def _source(key, names):
     one ``(text key, operand kinds, batched amounts)`` per instruction
     and ``names`` the names of each instruction's bound values (any
     binding of the shape: those its lines use are the same in all).
-    Returns the source, the names the factory takes after ``repair``
-    (in order), the counter marks and the line number of the op body's
-    first line (see :func:`_repair`)."""
+    Returns the source, the names the factory takes after ``M`` and
+    ``repair`` (in order), the counter marks and the line number of the
+    op body's first line (see :func:`_repair`)."""
     prelude, body, reads, marks = [], [], [], []
     totals = {}
-    candidates = {"st", "limit", "nxt", "slow"}
+    candidates = {"nxt", "region"}
+    machine = {("st", ""), ("limit", ""), ("slow", "")}
 
     def flush():
         # Adjacent register reads share one try: the fallback redoes
@@ -736,9 +858,11 @@ def _source(key, names):
         for hole, kind in kinds.items():
             if kind[0] in "rca":
                 candidates.add(f"{kind[0]}_{hole}{sfx}")
-        rename = (bound | text.assigned) - _SHARED
+        rename = (bound | text.assigned | text.machine) - _SHARED
         candidates.update(name if name in _SHARED else name + sfx
                           for name in bound)
+        machine.update((name, "" if name in _SHARED else sfx)
+                       for name in text.machine)
         hoist = kinds and all(kind[0] == "c" for kind in kinds.values())
         amounts = iter(batched)
         for mark, line in text.lines:
@@ -769,10 +893,10 @@ def _source(key, names):
         body[-1:-1] = write_back
     elif not (body and body[-1].startswith("raise ")):
         body += write_back + ["return nxt"]
+    prelude[:0] = _machine_lines(machine)
     used = set(re.findall(r"\w+", "\n".join(prelude + body)))
-    used.update(("st", "limit", "slow"))
     params = sorted(name for name in candidates if name in used)
-    head = ([f"def factory({', '.join(['repair'] + params)}):"]
+    head = ([f"def factory({', '.join(['M', 'repair'] + params)}):"]
             + ["    " + line for line in prelude]
             + ["    def op(frame, regs):",
                f"        n = st.instructions + {len(key)}",
@@ -789,11 +913,18 @@ def _source(key, names):
     return source, params, tuple(marks), len(head) + 1
 
 
+def _machine_lines(names):
+    """The factory lines that read machine names, given as ``(name,
+    instruction suffix)`` pairs, from the machine's values ``M``."""
+    return [f"{name}{sfx} = " + _MACHINE[name].replace("{sfx}", sfx)
+            for name, sfx in sorted(names)]
+
+
 def _generate(key, names):
     """Build the closure factory of one region shape."""
     source, params, marks, first = _source(key, names)
-    return (_exec_shape(source, partial(_shape_source, key, names)), params,
-            partial(_repair, marks, first, len(key)))
+    return (_exec_shape(source, partial(_shape_text, _source, key, names)),
+            params, partial(_repair, marks, first, len(key)))
 
 
 def _exec_shape(source, lazy_source):
@@ -807,8 +938,8 @@ def _exec_shape(source, lazy_source):
     return namespace["factory"]
 
 
-def _shape_source(key, names):
-    return _source(key, names)[0]
+def _shape_text(source_of, key, names):
+    return source_of(key, names)[0]
 
 
 def _repair(marks, first, size, st, exc):
@@ -832,11 +963,23 @@ def _repair(marks, first, size, st, exc):
 
 
 def _bind_region(region, engine, function):
-    """Specialize ``region`` on ``engine``'s machine: bind each
-    instruction, look up (or generate) the region's shape and call its
-    factory with the bound values."""
-    bound = {"st": engine.stats, "limit": engine.limit, "nxt": region.nxt,
-             "slow": partial(_interpret, engine, region)}
+    """Specialize ``region`` on ``engine``'s machine: one call of the
+    shape's factory with the machine's values and the values the
+    region binds on every machine of its signature, which the first
+    such machine computes (:func:`_region_entry`)."""
+    entry = region.entries.get(engine.signature)
+    if entry is None:
+        entry = region.entries[engine.signature] = _region_entry(
+            region, engine, function)
+    factory, args = entry
+    return factory(engine.values, *args)
+
+
+def _region_entry(region, engine, function):
+    """Bind each instruction of ``region``, look up (or generate) the
+    region's shape, and return its factory with the bound values it
+    takes after the machine's values."""
+    bound = {"nxt": region.nxt, "region": region}
     forwards = {}  # register uid -> the local holding its value
     key, names = [], []
     for k, instr in enumerate(region.instrs):
@@ -863,7 +1006,7 @@ def _bind_region(region, engine, function):
     if shape is None:
         shape = _SHAPES.put(key, _generate(key, tuple(map(frozenset, names))))
     factory, params, repair = shape
-    return factory(repair, *[bound[name] for name in params])
+    return factory, (repair, *[bound[name] for name in params])
 
 
 def _bind_operand(bound, name, operand, forwards, engine, as_int):
@@ -899,7 +1042,8 @@ def _bind_operand(bound, name, operand, forwards, engine, as_int):
 # Binders: ``(engine, function, instr, offsets, block) -> (template, flags,
 # bound values)``.  Flags select template lines (and supply the ``$expr``
 # literal); the bound values must cover every name the selected lines
-# use.
+# use but the machine names (:data:`_MACHINE`), and be the same on every
+# machine of the engine's signature.
 # ---------------------------------------------------------------------------
 
 
@@ -922,11 +1066,10 @@ def _trap(msg):
 
 
 def _profiled(engine, instr, opcode, values):
-    """Bind the ``?profile`` counter when a site profile is attached."""
-    profile = engine.machine.site_profile
-    if profile is None:
+    """Bind the ``?profile`` counter's key when a site profile is
+    attached (its ``counts`` are a machine value)."""
+    if engine.machine.site_profile is None:
         return False
-    values["counts"] = profile.counts
     values["pkey"] = (opcode,) + tuple(site_of(instr))
     return True
 
@@ -1020,40 +1163,41 @@ def _bind_cast(engine, function, instr, *_):
 
 def _bind_load(engine, function, instr, *_):
     irtype = instr.type
-    memory = engine.memory
     size = irtype.size
     if irtype.is_float:
         codec = _F64
     else:
         codec = _SCALAR_CODECS.get((8, False) if irtype.is_ptr else (size, True))
-    values = {"dst": instr.dst.uid, "size": size, "observers": engine.observers}
+    values = {"dst": instr.dst.uid, "size": size}
     if codec is not None:
-        values.update(unpack=codec.unpack_from, segment_for=memory._segment_for,
-                      cached=memory.heap)
-    else:
-        values["read"] = lambda addr: memory.read_int(addr, size, signed=True)
+        values["unpack"] = codec.unpack_from
     return "load", {"obs": bool(engine.observers), "codec": codec is not None,
                     "ptrval": instr.is_pointer_value}, values
 
 
 def _bind_store(engine, function, instr, *_):
     irtype = instr.type
-    memory = engine.memory
     size = irtype.size
     codec = _F64 if irtype.is_float else _SCALAR_CODECS.get((size, False))
     runtime = engine.machine.sb_runtime
     ptrval = instr.is_pointer_value
     pstore = not ptrval and runtime is not None and runtime.observes_stores
-    values = {"size": size, "vmask": (1 << (size * 8)) - 1,
-              "observers": engine.observers, "runtime": runtime}
+    values = {"size": size, "vmask": (1 << (size * 8)) - 1}
     if codec is not None:
-        values.update(pack_into=codec.pack_into,
-                      segment_for=memory._segment_for, cached=memory.heap)
-    else:
-        values["write"] = lambda addr, value: memory.write_int(addr, value, size)
+        values["pack_into"] = codec.pack_into
     return "store", {"float": irtype.is_float, "obs": bool(engine.observers),
                      "codec": codec is not None, "ptrval": ptrval,
                      "pstore": pstore}, values
+
+
+def _reader(memory, size):
+    """The read of a scalar width without a codec (the ``read`` value)."""
+    return lambda addr: memory.read_int(addr, size, signed=True)
+
+
+def _writer(memory, size):
+    """The write of a scalar width without a codec (``write``)."""
+    return lambda addr, value: memory.write_int(addr, value, size)
 
 
 def _bind_memcopy(engine, function, instr, *_):
@@ -1064,9 +1208,7 @@ def _bind_memcopy(engine, function, instr, *_):
     return "memcopy", {
         "obs": bool(engine.observers), "sb": runtime is not None,
         "pstore": runtime is not None and runtime.observes_stores,
-    }, {"size": size, "ctype": instr.ctype, "cost": cost,
-        "memory": engine.memory, "runtime": runtime,
-        "observers": engine.observers}
+    }, {"size": size, "ctype": instr.ctype, "cost": cost}
 
 
 def _bind_br(engine, function, instr, offsets, block):
@@ -1095,20 +1237,18 @@ def _bind_sb_check(engine, function, instr, *_):
 
 
 def _bind_sb_temporal_check(engine, function, instr, *_):
-    runtime = engine.machine.sb_runtime
-    # The lock table dict is bound directly: the liveness predicate
-    # inlines to one dict probe plus a compare.
+    # The lock table dict (the machine value ``slots``) is bound
+    # directly: the liveness predicate inlines to one dict probe plus a
+    # compare.
     values = {"access_kind": instr.access_kind,
-              "tcost": OP_COSTS["sb.temporal.check"],
-              "slots": runtime.lockspace.slots if runtime.lockspace else {}}
+              "tcost": OP_COSTS["sb.temporal.check"]}
     return "sb_temporal_check", {
         "profile": _profiled(engine, instr, "sb_temporal_check", values)}, values
 
 
 def _bind_sb_meta_load(engine, function, instr, *_):
     temporal = instr.dst_key is not None
-    values = {"facility": engine.machine.sb_runtime.facility,
-              "d_base": instr.dst_base.uid, "d_bound": instr.dst_bound.uid}
+    values = {"d_base": instr.dst_base.uid, "d_bound": instr.dst_bound.uid}
     if temporal:
         values.update(d_key=instr.dst_key.uid, d_lock=instr.dst_lock.uid)
     return "sb_meta_load", {
@@ -1117,13 +1257,11 @@ def _bind_sb_meta_load(engine, function, instr, *_):
 
 
 def _bind_sb_meta_store(engine, function, instr, *_):
-    return "sb_meta_store", {"temporal": instr.key is not None}, {
-        "facility": engine.machine.sb_runtime.facility}
+    return "sb_meta_store", {"temporal": instr.key is not None}, {}
 
 
 def _bind_sb_meta_clear(engine, function, instr, *_):
-    return "sb_meta_clear", {}, {
-        "facility": engine.machine.sb_runtime.facility}
+    return "sb_meta_clear", {}, {}
 
 
 _BINDERS = {
@@ -1148,110 +1286,217 @@ _BINDERS = {
 
 
 # ---------------------------------------------------------------------------
-# Hand-written: ret and call (frame transfer).
+# Frame transfer: ret and call.  Each site keeps its specialization per
+# machine signature on the program, as ``(factory, values)``, and binds
+# it to a machine with ``factory(machine values, *values)``.
 # ---------------------------------------------------------------------------
 
 
-def _build_ret(instr):
-    value_operand = instr.value
-    sb_meta = getattr(instr, "sb_meta", None)
+def _per_signature(build):
+    """A layout entry's ``make(engine, function)``: the ``(factory,
+    values)`` pair ``build(engine, function)`` returns, kept per machine
+    signature, bound to ``engine``'s machine."""
+    entries = {}
 
     def make(engine, function):
-        machine = engine.machine
-        st = engine.stats
-        limit = engine.limit
-        read_u64 = engine.memory.scalar_reader(8, False)
-        stack = engine.memory.stack
-        stack_data = stack.data
-        stack_base = stack.base
-        stack_end = stack.end
-        unpack_u64 = _SCALAR_CODECS[(8, False)].unpack_from
-        addr_to_function = machine.addr_to_function
-        frames = machine.frames
-        value_acc = None if value_operand is None else engine.acc(value_operand)
-        meta_accs = None
-        if sb_meta is not None:
-            meta_accs = tuple(engine.acc(v) for v in sb_meta)
-        # Frame teardown: an observed machine takes the generic pop
-        # (on_stack_free, then the runtime's teardown).  Otherwise it is
-        # inline: pop, clear the metadata of this function's
-        # pointer-bearing slots (from its frame layout, as
-        # SoftBoundRuntime.on_frame_teardown does), release the frame's
-        # temporal lock and restore sp.
-        pop_frame = machine._pop_frame if engine.observers else None
-        runtime = machine.sb_runtime
-        slots = ()
-        clear_range = release = None
-        if runtime is not None:
-            slots = _frame_layout(function).pointer_slots
-            clear_range = runtime.facility.clear_range
-            if runtime.temporal:
-                release = runtime.lockspace.release
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            st.cost += _COST_RET
-            value = value_acc(regs) if value_acc is not None else None
-            meta_vals = None
-            if meta_accs is not None:
-                meta_vals = [acc(regs) for acc in meta_accs]
-            # Read the control data back from simulated memory — the
-            # attack surface the Wilander suite exercises.  The frame
-            # pointer normally sits in the stack segment (decode
-            # inline); a corrupted saved FP can point anywhere, so fall
-            # back to the trapping reader outside it.
-            fp = frame.fp
-            if stack_base <= fp and fp + 16 <= stack_end:
-                off = fp - stack_base
-                saved_fp = unpack_u64(stack_data, off)[0]
-                ret_addr = unpack_u64(stack_data, off + 8)[0]
-            else:
-                saved_fp = read_u64(fp)
-                ret_addr = read_u64(fp + 8)
-            if ret_addr != frame.expected_ret:
-                target = addr_to_function.get(ret_addr, "")
-                kind = (TrapKind.CONTROL_FLOW_HIJACK if target
-                        else TrapKind.WILD_JUMP)
-                raise Trap(kind, "return address overwritten",
-                           address=ret_addr, target_symbol=target)
-            if pop_frame is None:
-                frames.pop()
-                if slots:
-                    base = frame.base
-                    for off, size in slots:
-                        clear_range(base + off, size, st)
-                if release is not None and frame.lock_slot:
-                    release(frame.lock_slot, st)
-                machine.sp = frame.base + frame.size
-            else:
-                pop_frame()
-            engine._ret_value = value
-            engine._returned = True
-            if not frames:
-                return -1
-            caller = frames[-1]
-            if saved_fp != caller.fp:
-                caller.fp = saved_fp
-            dst_reg = frame.dst_reg
-            if dst_reg is not None and value is not None:
-                caller.regs[dst_reg.uid] = value
-            dst_meta = frame.dst_meta
-            if dst_meta is not None:
-                if meta_vals is not None:
-                    for i, reg in enumerate(dst_meta):
-                        caller.regs[reg.uid] = (meta_vals[i]
-                                                if i < len(meta_vals) else 0)
-                else:
-                    for reg in dst_meta:
-                        caller.regs[reg.uid] = 0
-            return -1
-
-        return op
+        entry = entries.get(engine.signature)
+        if entry is None:
+            entry = entries[engine.signature] = build(engine, function)
+        factory, args = entry
+        return factory(engine.values, *args)
 
     return make
+
+
+def _expand(template, flags, blocks):
+    """The op body of a frame-transfer template: a ``?flag`` line is
+    kept only when the flag is set (``?!flag``: only when clear), and a
+    ``$name`` line is replaced by the lines ``blocks[name]``."""
+    body = []
+    for line in template.splitlines():
+        if line.startswith("?"):
+            head, _, line = line.partition(" ")
+            if bool(flags[head.lstrip("?!")]) == head.startswith("?!"):
+                continue
+        body.extend(blocks[line[1:]] if line.startswith("$") else [line])
+    return body
+
+
+def _guarded(lines):
+    """``lines`` with their inlined register reads in one ``try`` whose
+    ``except KeyError`` repeats them with ``regs.get(r_..., 0)``."""
+    fallback = [re.sub(r"regs\[(r_\w+)\]", r"regs.get(\1, 0)", line)
+                for line in lines]
+    if fallback == lines:
+        return lines
+    return (["try:"] + ["    " + line for line in lines]
+            + ["except KeyError:"] + ["    " + line for line in fallback])
+
+
+def _op_source(body, names):
+    """The source of a frame-transfer shape's closure factory, whose op
+    runs ``body``.  The factory takes the machine's values ``M``, then
+    the names of ``names`` (those a binding of the shape binds) that
+    the body uses, in the returned order."""
+    words = {m.group() for line in body for m in _WORD.finditer(line)}
+    prelude = _machine_lines((name, "") for name in words & _MACHINE.keys())
+    params = sorted(names & set(re.findall(r"\w+", "\n".join(prelude + body))))
+    source = "\n".join(
+        [f"def factory({', '.join(['M'] + params)}):"]
+        + ["    " + line for line in prelude] + ["    def op(frame, regs):"]
+        + ["        " + line for line in body] + ["    return op", ""])
+    return source, params
+
+
+def _shape_entry(key, source_of, bound):
+    """Look up (or generate with ``source_of``) the frame-transfer shape
+    ``key`` and return its factory with the values of ``bound`` it
+    takes after the machine's values."""
+    shape = _SHAPES.get(key)
+    if shape is None:
+        names = frozenset(bound)
+        source, params = source_of(key, names)
+        shape = _SHAPES.put(key, (
+            _exec_shape(source, partial(_shape_text, source_of, key, names)),
+            params))
+    factory, params = shape
+    return factory, tuple([bound[name] for name in params])
+
+
+def _bind_argument(bound, name, operand, addrs):
+    """Bind one resolvable call operand under ``name``: ``r_name`` (a
+    register uid, kind ``r``) or ``c_name`` (a constant, a resolved
+    symbol's address, or zero for a missing operand, kind ``c``)."""
+    if isinstance(operand, Register):
+        bound[f"r_{name}"] = operand.uid
+        return "r"
+    if operand is None:
+        value = 0
+    elif isinstance(operand, Const):
+        value = operand.value
+    else:
+        value = addrs[operand.name] + operand.addend
+    bound[f"c_{name}"] = value
+    return "c"
+
+
+#: The line reading an operand bound under a name into the local of
+#: that name, by its kind (see :func:`_bind_operand`).
+_READS = {"r": "{0} = regs[r_{0}]", "c": "{0} = c_{0}", "a": "{0} = a_{0}(regs)"}
+
+
+#: The ret op's body (``$reads`` reads the returned value and metadata,
+#: ``$meta`` writes the metadata to the caller's registers): the
+#: interpreter's ``_exec_ret`` — count and budget, the returned
+#: operands, the saved FP and return address read back from simulated
+#: memory (the attack surface the Wilander suite exercises: a corrupted
+#: saved FP can point anywhere, so outside the stack segment the
+#: trapping reader runs), then frame teardown.  An observed machine
+#: takes the generic pop (``on_stack_free``, then the runtime's
+#: teardown); otherwise it is inline: pop, clear the metadata of the
+#: function's pointer-bearing slots (its frame layout's, as
+#: ``SoftBoundRuntime.on_frame_teardown`` does), release the frame's
+#: temporal lock, restore sp.
+_RET = """\
+n = st.instructions + 1
+st.instructions = n
+if n > limit:
+    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
+st.cost += _COST_RET
+$reads
+fp = frame.fp
+if stack_base <= fp and fp + 16 <= stack_end:
+    off = fp - stack_base
+    saved_fp = unpack_u64(stack_data, off)[0]
+    ret_addr = unpack_u64(stack_data, off + 8)[0]
+else:
+    saved_fp = read_u64(fp)
+    ret_addr = read_u64(fp + 8)
+if ret_addr != frame.expected_ret:
+    target = addr_to_function.get(ret_addr, "")
+    kind = TrapKind.CONTROL_FLOW_HIJACK if target else TrapKind.WILD_JUMP
+    raise Trap(kind, "return address overwritten",
+               address=ret_addr, target_symbol=target)
+?pop pop_frame()
+?!pop frames.pop()
+?slots base = frame.base
+?slots for off, size in pointer_slots:
+?slots     clear_range(base + off, size, st)
+?release if frame.lock_slot:
+?release     release(frame.lock_slot, st)
+?!pop machine.sp = frame.base + frame.size
+engine._ret_value = value
+engine._returned = True
+if not frames:
+    return -1
+caller = frames[-1]
+if saved_fp != caller.fp:
+    caller.fp = saved_fp
+?value dst_reg = frame.dst_reg
+?value if dst_reg is not None and value is not None:
+?value     caller.regs[dst_reg.uid] = value
+dst_meta = frame.dst_meta
+if dst_meta is not None:
+$meta
+return -1
+"""
+
+
+def _write_meta(regs, dst_meta, values):
+    """Write returned metadata to the caller's registers ``dst_meta``:
+    ``values`` in order, and zero past them."""
+    for i, reg in enumerate(dst_meta):
+        regs[reg.uid] = values[i] if i < len(values) else 0
+
+
+def _ret_entry(instr, engine, function):
+    """Specialize a ``ret`` for machines of ``engine``'s signature: its
+    returned operands, the stack geometry and the slots it clears."""
+    runtime = engine.machine.sb_runtime
+    observed = bool(engine.observers)
+    stack = engine.memory.stack
+    slots = ()
+    if runtime is not None and not observed:
+        slots = _frame_layout(function).pointer_slots
+    bound = {"pointer_slots": slots, "stack_base": stack.base,
+             "stack_end": stack.end,
+             "unpack_u64": _SCALAR_CODECS[(8, False)].unpack_from}
+    meta = getattr(instr, "sb_meta", None)
+    operands = [] if instr.value is None else [("value", instr.value)]
+    operands += [(f"meta_{k}", v) for k, v in enumerate(meta or ())]
+    kinds = tuple([_bind_operand(bound, name, operand, {}, engine, False)
+                   for name, operand in operands])
+    flags = (("value", instr.value is not None), ("pop", observed),
+             ("slots", bool(slots)),
+             ("release", runtime is not None and runtime.temporal
+              and not observed))
+    return _shape_entry(("ret", kinds, len(meta or ()), flags),
+                        _ret_source, bound)
+
+
+def _ret_source(key, names):
+    """The source of one ret shape's closure factory, ``key`` being
+    ``("ret", operand kinds, metadata count, flags)``: the kind of the
+    returned value (when the flags say there is one), then of each
+    returned metadata value."""
+    _, kinds, metas, flags = key
+    flags = dict(flags)
+    targets = (["value"] if flags["value"] else []) + [
+        f"meta_{k}" for k in range(metas)]
+    reads = _guarded([_READS[kind].format(target)
+                      for target, kind in zip(targets, kinds)])
+    if not flags["value"]:
+        reads.insert(0, "value = None")
+    values = "".join(f"meta_{k}, " for k in range(metas))
+    if metas:
+        meta = (["    cregs = caller.regs", f"    if len(dst_meta) == {metas}:"]
+                + [f"        cregs[dst_meta[{k}].uid] = meta_{k}"
+                   for k in range(metas)]
+                + ["    else:", f"        _write_meta(cregs, dst_meta, ({values}))"])
+    else:
+        meta = ["    _write_meta(caller.regs, dst_meta, ())"]
+    return _op_source(_expand(_RET, flags, {"reads": reads, "meta": meta}),
+                      names)
 
 
 def _needs_signature_check(instr, function):
@@ -1268,122 +1513,100 @@ def _store_result(regs, dst, dst_meta, result):
     pointer, to the caller's registers (the interpreter's libc path)."""
     if isinstance(result, tuple):
         regs[dst.uid] = result[0]
-        if dst_meta is not None:
-            rest = result[1:]
-            for i, reg in enumerate(dst_meta):
-                regs[reg.uid] = rest[i] if i < len(rest) else 0
+        meta = result[1:]
     else:
         regs[dst.uid] = result if result is not None else 0
-        if dst_meta is not None:
-            for reg in dst_meta:
-                regs[reg.uid] = 0
+        meta = ()
+    if dst_meta is not None:
+        _write_meta(regs, dst_meta, meta)
 
 
-def _build_call(instr, index, cur_block):
-    """``cur_block`` and ``index``: setjmp records the call site."""
-    callee = instr.callee
+def _call_entry(instr, index, cur_block, engine, function):
+    """Specialize a call for machines of ``engine``'s signature: a
+    direct call to a non-variadic module function on an unobserved
+    machine is the generated call op, a direct call to a libc routine
+    the generated builtin op, when no argument names an unresolved
+    symbol; any other call runs :func:`_generic_call`."""
+    machine = engine.machine
+    site = machine._site_id(machine._call_site_key(function, instr))
+    runtime = machine.sb_runtime
+    arity = None if runtime is None else runtime.meta_arity
+    call_cost = _COST_CALL + _COST_CALL_ARG * len(instr.args)
+    functions = machine.module.functions
+    target_name = instr.callee
+    if (target_name is not None and runtime is not None
+            and f"_sb_{target_name}" in functions):
+        target_name = f"_sb_{target_name}"
+    target = functions.get(target_name)
+    addrs = machine.symbol_addrs
+    resolvable = all(isinstance(a, (Register, Const))
+                     or (isinstance(a, SymbolRef) and a.name in addrs)
+                     for a in instr.args)
+    if target is not None and resolvable and not target.varargs \
+            and not engine.observers:
+        return _bind_call(engine, instr, target,
+                          _call_plan(instr, target, arity), site, index + 1,
+                          call_cost, _needs_signature_check(instr, target))
+    if target is None and target_name is not None and resolvable \
+            and hasattr(Libc, "_do_" + target_name):
+        return _bind_builtin(engine, instr, target_name, arity, cur_block,
+                             index, call_cost)
+    callee_acc = None if target_name is not None else engine.acc(
+        instr.callee_reg)
+    return _generic_call, (instr, target, target_name,
+                           [engine.acc(a) for a in instr.args], callee_acc,
+                           call_cost, site, index, cur_block)
+
+
+def _generic_call(M, instr, target, target_name, arg_accs, callee_acc,
+                  call_cost, site, index, cur_block):
+    """The op of a call the generated ops do not cover: to the module
+    function ``target`` through the interpreter's frame push (a
+    variadic callee, an observed machine or an argument whose
+    evaluation traps), else to the builtin ``target_name`` through
+    ``Libc.call``, else an indirect call through ``callee_acc``."""
+    machine = M["machine"]
+    st = M["st"]
+    limit = M["limit"]
+    runtime = machine.sb_runtime
+    has_sb = runtime is not None
+    meta_arity = runtime.meta_arity if has_sb else 2
+    functions = machine.module.functions
     dst = instr.dst
     dst_meta = getattr(instr, "sb_dst_meta", None)
-    call_cost = _COST_CALL + _COST_CALL_ARG * len(instr.args)
     nxt = index + 1
-    plans = {}  # (callee, metadata arity or None) -> the site's call plan
+    push_frame = machine._push_frame
+    split_meta = machine._split_call_metadata
+    check_signature = machine._check_call_signature
+    libc_call = machine.libc.call
 
-    def make(engine, function):
-        machine = engine.machine
-        site = machine._site_id(machine._call_site_key(function, instr))
-        has_sb = machine.sb_runtime is not None
-        meta_arity = machine.sb_runtime.meta_arity if has_sb else 2
-        functions = machine.module.functions
-        target_name = callee
-        if target_name is not None and has_sb and f"_sb_{target_name}" in functions:
-            target_name = f"_sb_{target_name}"
-        target = functions.get(target_name)
-        addrs = machine.symbol_addrs
-        if (target is not None and not target.varargs and not engine.observers
-                and all(isinstance(a, (Register, Const))
-                        or (isinstance(a, SymbolRef) and a.name in addrs)
-                        for a in instr.args)):
-            # Direct call to a non-variadic module function whose
-            # arguments cannot trap: the specialized op.
-            key = (target, meta_arity if has_sb else None)
-            plan = plans.get(key)
-            if plan is None:
-                plan = plans[key] = _call_plan(instr, target, key[1])
-            return _bind_call(engine, instr, target, plan, site, nxt,
-                              call_cost, _needs_signature_check(instr, target))
+    def enter(frame, target, args):
+        """The general frame push (metadata, observers, varargs)."""
+        frame.index = nxt  # resume after the call on return
+        arg_metas = None
+        if has_sb:
+            args, arg_metas = split_meta(args, instr, meta_arity)
+        new_frame = push_frame(target, args, site, arg_metas)
+        new_frame.dst_reg = dst
+        new_frame.dst_meta = dst_meta
+        new_frame.caller_site = frame
+        new_frame.block = target.entry
+        new_frame.index = 0
+        return -1
 
-        st = engine.stats
-        limit = engine.limit
-        arg_accs = [engine.acc(a) for a in instr.args]
-        push_frame = machine._push_frame
-        split_meta = machine._split_call_metadata
-        check_signature = machine._check_call_signature
-        libc_call = machine.libc.call
-
-        def enter(frame, target, args):
-            """The general frame push (metadata, observers, varargs)."""
-            frame.index = nxt  # resume after the call on return
-            arg_metas = None
-            if has_sb:
-                args, arg_metas = split_meta(args, instr, meta_arity)
-            new_frame = push_frame(target, args, site, arg_metas)
-            new_frame.dst_reg = dst
-            new_frame.dst_meta = dst_meta
-            new_frame.caller_site = frame
-            new_frame.block = target.entry
-            new_frame.index = 0
+    def call_builtin(frame, regs, name, args):
+        frame.block = cur_block
+        frame.index = index  # setjmp records the call site
+        machine._control_transferred = False
+        result = libc_call(name, args, instr)
+        if machine._control_transferred:
             return -1
+        if dst is not None:
+            _store_result(regs, dst, dst_meta, result)
+        return nxt
 
-        def call_builtin(frame, regs, name, args):
-            frame.block = cur_block
-            frame.index = index  # setjmp records the call site
-            machine._control_transferred = False
-            result = libc_call(name, args, instr)
-            if machine._control_transferred:
-                return -1
-            if dst is not None:
-                _store_result(regs, dst, dst_meta, result)
-            return nxt
-
-        if target is not None:
-            # Direct call to a module function through the general frame
-            # push: a variadic callee, an observed machine or an
-            # argument whose evaluation traps.
-            has_sig = _needs_signature_check(instr, target)
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                st.calls += 1
-                st.cost += call_cost
-                args = [acc(regs) for acc in arg_accs]
-                if has_sig:
-                    check_signature(instr, target)
-                return enter(frame, target, args)
-
-            return op
-
-        if target_name is not None:
-            # Direct call to a builtin / libc routine.
-
-            def op(frame, regs):
-                n = st.instructions + 1
-                st.instructions = n
-                if n > limit:
-                    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-                st.calls += 1
-                st.cost += call_cost
-                return call_builtin(frame, regs, target_name,
-                                    [acc(regs) for acc in arg_accs])
-
-            return op
-
-        # Indirect call: the target is a runtime value; resolution and
-        # signature checking stay dynamic (cold path).
-        callee_acc = engine.acc(instr.callee_reg)
-        addr_to_function = machine.addr_to_function
+    if target is not None:
+        has_sig = _needs_signature_check(instr, target)
 
         def op(frame, regs):
             n = st.instructions + 1
@@ -1393,26 +1616,56 @@ def _build_call(instr, index, cur_block):
             st.calls += 1
             st.cost += call_cost
             args = [acc(regs) for acc in arg_accs]
-            addr = int(callee_acc(regs))
-            name = addr_to_function.get(addr)
-            if name is None:
-                raise Trap(TrapKind.WILD_JUMP,
-                           "indirect call to non-code address", address=addr)
-            if has_sb and f"_sb_{name}" in functions:
-                name = f"_sb_{name}"
-            if name in functions:
-                target = functions[name]
+            if has_sig:
                 check_signature(instr, target)
-                return enter(frame, target, args)
-            return call_builtin(frame, regs, name, args)
+            return enter(frame, target, args)
 
         return op
 
-    return make
+    if target_name is not None:
+
+        def op(frame, regs):
+            n = st.instructions + 1
+            st.instructions = n
+            if n > limit:
+                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
+            st.calls += 1
+            st.cost += call_cost
+            return call_builtin(frame, regs, target_name,
+                                [acc(regs) for acc in arg_accs])
+
+        return op
+
+    # Indirect call: the target is a runtime value; resolution and
+    # signature checking stay dynamic (cold path).
+    addr_to_function = machine.addr_to_function
+
+    def op(frame, regs):
+        n = st.instructions + 1
+        st.instructions = n
+        if n > limit:
+            raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
+        st.calls += 1
+        st.cost += call_cost
+        args = [acc(regs) for acc in arg_accs]
+        addr = int(callee_acc(regs))
+        name = addr_to_function.get(addr)
+        if name is None:
+            raise Trap(TrapKind.WILD_JUMP,
+                       "indirect call to non-code address", address=addr)
+        if has_sb and f"_sb_{name}" in functions:
+            name = f"_sb_{name}"
+        if name in functions:
+            target = functions[name]
+            check_signature(instr, target)
+            return enter(frame, target, args)
+        return call_builtin(frame, regs, name, args)
+
+    return op
 
 
 # ---------------------------------------------------------------------------
-# The specialized direct call: one generated op per call plan shape.
+# The specialized direct calls: one generated op per call plan shape.
 # ---------------------------------------------------------------------------
 
 
@@ -1431,14 +1684,13 @@ def _call_plan(instr, target, arity):
                                 2 if arity is None else arity, zero=None))
 
 
-#: The specialized call op's body (a ``?flag`` line is kept only when the
-#: flag is set, ``?!flag`` only when clear; ``$bind`` is the callee's
-#: register file as a dict display over the call plan): the
-#: interpreter's ``_exec_call`` and ``Machine._push_frame`` for a
-#: non-variadic module function on an unobserved machine, in their
-#: order — count and budget, call counters, the signature check, the
-#: stack-overflow test, the saved FP and return address packed into
-#: the stack segment, the frame's temporal lock.
+#: The specialized call op's body (``$bind`` is the callee's register
+#: file as a dict display over the call plan): the interpreter's
+#: ``_exec_call`` and ``Machine._push_frame`` for a non-variadic module
+#: function on an unobserved machine, in their order — count and
+#: budget, call counters, the signature check, the stack-overflow test,
+#: the saved FP and return address packed into the stack segment, the
+#: frame's temporal lock.
 _CALL = """\
 n = st.instructions + 1
 st.instructions = n
@@ -1490,86 +1742,117 @@ def _call_source(key, names):
     (the caller's register ``r_K``) or ``c`` (the constant ``c_K``),
     bound to the callee register ``u_K``; ``names`` are the names a
     binding of the shape binds.  Returns the source and the names the
-    factory takes, in order."""
+    factory takes after the machine's values, in order."""
     _, kinds, flags = key
-    flags = dict(flags)
     entries = [f"u_{k}: regs[r_{k}]" if kind == "r" else f"u_{k}: c_{k}"
                for k, kind in enumerate(kinds)]
-    display = "new_regs = {%s}" % ", ".join(entries)
-    if "r" in kinds:
-        bind = ["try:", "    " + display, "except KeyError:",
-                "    " + re.sub(r"regs\[(r_\d+)\]", r"regs.get(\1, 0)", display)]
-    else:
-        bind = [display]
-    body = []
-    for line in _CALL.splitlines():
-        if line.startswith("?"):
-            head, _, line = line.partition(" ")
-            if bool(flags[head.lstrip("?!")]) == head.startswith("?!"):
-                continue
-        body.extend(bind if line == "$bind" else [line])
-    params = sorted(names & set(re.findall(r"\w+", "\n".join(body))))
-    source = "\n".join(
-        [f"def factory({', '.join(params)}):", "    def op(frame, regs):"]
-        + ["        " + line for line in body] + ["    return op", ""])
-    return source, params
+    bind = _guarded(["new_regs = {%s}" % ", ".join(entries)])
+    return _op_source(_expand(_CALL, dict(flags), {"bind": bind}), names)
 
 
 def _bind_call(engine, instr, target, plan, site, nxt, call_cost, has_sig):
     """Specialize a direct call to the non-variadic module function
-    ``target`` on ``engine``'s machine (no observers, every argument
-    resolvable): bind the plan's sources — a caller register, an
-    argument's constant or resolved symbol address, or zero — and the
-    frame constants, and call the shape's factory."""
-    machine = engine.machine
-    runtime = machine.sb_runtime
+    ``target`` for machines of ``engine``'s signature (no observers,
+    every argument resolvable): bind the plan's sources — a caller
+    register, an argument's constant or resolved symbol address, or
+    zero — and the frame constants."""
+    runtime = engine.machine.sb_runtime
     layout = _frame_layout(target)
-    stack = engine.memory.stack
     frame_meta = getattr(target, "sb_frame_meta", None)
     lock = (runtime is not None and runtime.temporal
             and frame_meta is not None)
     bound = {
-        "st": engine.stats, "limit": engine.limit, "call_cost": call_cost,
-        "machine": machine, "frames": machine.frames, "target": target,
-        "target_name": target.name, "frame_size": layout.va_offset,
-        "fp_off": layout.fp_offset, "allocas": layout.allocas,
-        "stack_base": stack.base, "stack_data": stack.data,
+        "call_cost": call_cost, "target": target, "target_name": target.name,
+        "frame_size": layout.va_offset, "fp_off": layout.fp_offset,
+        "allocas": layout.allocas, "stack_base": engine.memory.stack.base,
         "pack_u64": _SCALAR_CODECS[(8, False)].pack_into, "site": site,
         "nxt": nxt, "dst": instr.dst,
         "dst_meta": getattr(instr, "sb_dst_meta", None),
         "entry_block": target.entry, "new_frame_of": Frame.__new__,
-        "check_signature": machine._check_call_signature, "instr": instr,
+        "instr": instr,
     }
     if lock:
-        bound.update(acquire=runtime.lockspace.acquire,
-                     frame_key=frame_meta[0].uid, frame_lock=frame_meta[1].uid)
-    addrs = machine.symbol_addrs
+        bound.update(frame_key=frame_meta[0].uid, frame_lock=frame_meta[1].uid)
+    addrs = engine.machine.symbol_addrs
     kinds = []
     for k, (uid, pos) in enumerate(plan):
         bound[f"u_{k}"] = uid
-        operand = None if pos is None else instr.args[pos]
-        if isinstance(operand, Register):
-            bound[f"r_{k}"] = operand.uid
-            kinds.append("r")
-            continue
-        if operand is None:
-            value = 0
-        elif isinstance(operand, Const):
-            value = operand.value
-        else:
-            value = addrs[operand.name] + operand.addend
-        bound[f"c_{k}"] = value
-        kinds.append("c")
+        kinds.append(_bind_argument(
+            bound, k, None if pos is None else instr.args[pos], addrs))
     key = ("call", tuple(kinds), (("sig", has_sig), ("lock", lock)))
-    shape = _SHAPES.get(key)
-    if shape is None:
-        names = frozenset(bound)
-        source, params = _call_source(key, names)
-        shape = _SHAPES.put(key, (
-            _exec_shape(source, partial(_call_text, key, names)), params))
-    factory, params = shape
-    return factory(*[bound[name] for name in params])
+    return _shape_entry(key, _call_source, bound)
 
 
-def _call_text(key, names):
-    return _call_source(key, names)[0]
+def _builtin_plan(instr, arity):
+    """Which argument positions a builtin call passes as the routine's
+    arguments, and which as each argument's metadata: ``Libc.call``'s
+    split of the SoftBound convention applied once to positions
+    (metadata None on a machine without a SoftBound runtime, ``arity``
+    None)."""
+    positions = list(range(len(instr.args)))
+    if arity is None:
+        return tuple(positions), None
+    positions, metas = Machine._split_call_metadata(positions, instr, arity)
+    if metas is None:
+        metas = [None] * len(positions)
+    return tuple(positions), tuple(metas)
+
+
+#: The builtin call op's body (``$args`` builds the routine's arguments
+#: and their metadata from the site's plan): the interpreter's
+#: ``_exec_call`` into ``Libc.call`` for a routine libc defines.
+_BUILTIN = """\
+n = st.instructions + 1
+st.instructions = n
+if n > limit:
+    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
+st.calls += 1
+st.cost += call_cost
+$args
+frame.block = cur_block
+frame.index = index
+machine._control_transferred = False
+result = handler(args, metas, instr)
+if machine._control_transferred:
+    return -1
+?dst _store_result(regs, dst, dst_meta, result)
+return nxt
+"""
+
+
+def _builtin_source(key, names):
+    """The source of one builtin call shape's closure factory, ``key``
+    being ``("builtin", argument kinds, argument positions, metadata
+    positions, flags)`` (see :func:`_builtin_plan`)."""
+    _, kinds, positions, metas, flags = key
+
+    def arg(k):
+        return f"regs[r_{k}]" if kinds[k] == "r" else f"c_{k}"
+
+    lines = ["args = [%s]" % ", ".join(map(arg, positions))]
+    if metas is None:
+        lines.append("metas = None")
+    else:
+        lines.append("metas = [%s]" % ", ".join(
+            "None" if group is None
+            else "(%s)" % "".join(arg(k) + ", " for k in group)
+            for group in metas))
+    return _op_source(_expand(_BUILTIN, dict(flags), {"args": _guarded(lines)}),
+                      names)
+
+
+def _bind_builtin(engine, instr, target_name, arity, cur_block, index,
+                  call_cost):
+    """Specialize a direct call to the libc routine ``target_name``
+    (every argument resolvable) for machines of ``engine``'s
+    signature."""
+    positions, metas = _builtin_plan(instr, arity)
+    bound = {"call_cost": call_cost, "cur_block": cur_block, "index": index,
+             "nxt": index + 1, "dst": instr.dst,
+             "dst_meta": getattr(instr, "sb_dst_meta", None), "instr": instr,
+             "target_name": target_name}
+    addrs = engine.machine.symbol_addrs
+    kinds = tuple([_bind_argument(bound, k, operand, addrs)
+                   for k, operand in enumerate(instr.args)])
+    key = ("builtin", kinds, positions, metas, (("dst", instr.dst is not None),))
+    return _shape_entry(key, _builtin_source, bound)

@@ -28,13 +28,23 @@ class Libc:
 
     # -- dispatch ------------------------------------------------------------
 
-    def call(self, name, args, instr):
+    def handler(self, name):
+        """The routine ``name`` as ``fn(args, metas, instr)``; traps for
+        a name libc does not define."""
         handler = self._handlers.get(name)
         if handler is None:
             handler = getattr(self, "_do_" + name, None)
             if handler is None:
                 raise Trap(TrapKind.SEGFAULT, f"call to unknown function {name!r}")
             self._handlers[name] = handler
+        return handler
+
+    def call(self, name, args, instr):
+        """Run builtin ``name`` on a call's evaluated arguments (the
+        interpreter's path; the compiled engine splits a direct call's
+        arguments once per call site and calls :meth:`handler`'s
+        routine itself)."""
+        handler = self.handler(name)
         metas = None
         if self.machine.sb_runtime is not None:
             # One implementation of the SoftBound call-convention split

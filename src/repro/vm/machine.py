@@ -189,6 +189,87 @@ def param_bindings(function, args, arg_metas, arity, zero=0):
     return bindings
 
 
+class LoadPlan(NamedTuple):
+    """What loading a module puts in every machine (see
+    :func:`_load_plan`)."""
+
+    symbol_addrs: dict  # symbol -> address (code, globals, aliases)
+    addr_to_function: dict  # code address -> function or builtin name
+    #: Each call site's return-address token, keyed like
+    #: :meth:`Machine._call_site_key`.
+    call_sites: dict
+    globals_size: int
+    images: tuple  # (offset in the globals segment, GlobalVar)
+    relocations: tuple  # (address, resolved pointer)
+
+
+def _load_plan(module, builtin_names):
+    """Compute (and cache on ``module``) its load plan: code addresses
+    for every function and builtin name (the latter may be taken as
+    function pointers), the globals layout and its resolved
+    relocations, and every call site's return-address token.  All of
+    it depends only on the module, so every machine copies one plan; it
+    is recomputed when the module's functions, their blocks' ``version``
+    stamps, or its globals' names, sizes or alignments change."""
+    functions = module.functions
+    stamp = (tuple(functions.items()),
+             tuple([(name, gvar.size, gvar.align)
+                    for name, gvar in module.globals.items()]),
+             tuple([block.version for function in functions.values()
+                    for block in function.blocks]))
+    cached = getattr(module, "_load_plan", None)
+    if cached is not None and cached[0] == stamp:
+        return cached[1]
+    symbol_addrs = {}
+    addr_to_function = {}
+    for name in list(functions) + list(builtin_names):
+        if name not in symbol_addrs:
+            addr = CODE_BASE + len(symbol_addrs) * CODE_STRIDE
+            symbol_addrs[name] = addr
+            addr_to_function[addr] = name
+    # Globals layout.
+    offset = 0
+    images = []
+    for name, gvar in module.globals.items():
+        align = max(gvar.align, 1)
+        offset = (offset + align - 1) // align * align
+        images.append((offset, gvar))
+        symbol_addrs[name] = GLOBALS_BASE + offset
+        offset += max(gvar.size, 1)
+    # SoftBound renames functions `_sb_*`; pre-transform symbol names
+    # (used by function pointers and global initializers) alias the
+    # transformed definitions.
+    for orig, new in getattr(module, "sb_aliases", {}).items():
+        if orig not in symbol_addrs and new in symbol_addrs:
+            symbol_addrs[orig] = symbol_addrs[new]
+    # Relocations, now that all symbols have addresses.
+    relocations = []
+    for off, gvar in images:
+        for roff, sym, addend in gvar.relocs:
+            target = symbol_addrs.get(sym)
+            if target is None:
+                raise Trap(TrapKind.SEGFAULT, f"unresolved symbol {sym}")
+            relocations.append((GLOBALS_BASE + off + roff, target + addend))
+    # Pre-assign every call site's return-address token in module
+    # layout order.  Tokens are observable program state (a frame's
+    # saved-RA bytes live in simulated stack memory, and overreads can
+    # fold them into output), so their values must not depend on which
+    # engine executes or in what dynamic order calls first run;
+    # Machine._site_id still assigns lazily for any call created later.
+    call_sites = {}
+    for function in functions.values():
+        for block in function.blocks:
+            for instr in block.instructions:
+                if instr.opcode == "call":
+                    key = Machine._call_site_key(function, instr)
+                    if key not in call_sites:
+                        call_sites[key] = _RETADDR_BASE + (len(call_sites) + 1) * 8
+    plan = LoadPlan(symbol_addrs, addr_to_function, call_sites, offset + 16,
+                    tuple(images), tuple(relocations))
+    module._load_plan = (stamp, plan)
+    return plan
+
+
 class Machine:
     """Loads a module and executes it.
 
@@ -235,11 +316,6 @@ class Machine:
         self.frames = []
         self.sp = self.memory.stack.end
         self.rng_state = 1
-        # Symbol resolution.
-        self.symbol_addrs = {}
-        self.addr_to_function = {}
-        self.call_sites = {}
-        self.next_site = 0
         self.jmpbufs = {}
         self._control_transferred = False
         self._load()
@@ -247,54 +323,16 @@ class Machine:
     # -- loading -------------------------------------------------------------
 
     def _load(self):
-        # Code addresses for every function (user + builtin names that
-        # might be taken as function pointers).
-        index = 0
-        for name in list(self.module.functions) + list(self.libc.builtin_names()):
-            if name in self.symbol_addrs:
-                continue
-            addr = CODE_BASE + index * CODE_STRIDE
-            self.symbol_addrs[name] = addr
-            self.addr_to_function[addr] = name
-            index += 1
-        # Globals layout.
-        offset = 0
-        placements = []
-        for name, gvar in self.module.globals.items():
-            align = max(gvar.align, 1)
-            offset = (offset + align - 1) // align * align
-            placements.append((name, gvar, offset))
-            offset += max(gvar.size, 1)
-        segment = self.memory.map_globals(offset + 16)
-        for name, gvar, off in placements:
-            addr = GLOBALS_BASE + off
-            self.symbol_addrs[name] = addr
-            self.memory.write(addr, gvar.data)
-        # SoftBound renames functions `_sb_*`; pre-transform symbol names
-        # (used by function pointers and global initializers) alias the
-        # transformed definitions.
-        for orig, new in getattr(self.module, "sb_aliases", {}).items():
-            if orig not in self.symbol_addrs and new in self.symbol_addrs:
-                self.symbol_addrs[orig] = self.symbol_addrs[new]
-        # Apply relocations now that all symbols have addresses.
-        for name, gvar, off in placements:
-            addr = GLOBALS_BASE + off
-            for roff, sym, addend in gvar.relocs:
-                target = self.symbol_addrs.get(sym)
-                if target is None:
-                    raise Trap(TrapKind.SEGFAULT, f"unresolved symbol {sym}")
-                self.memory.write_ptr(addr + roff, target + addend)
-        # Pre-assign every call site's return-address token in module
-        # layout order.  Tokens are observable program state (a frame's
-        # saved-RA bytes live in simulated stack memory, and overreads
-        # can fold them into output), so their values must not depend on
-        # which engine executes or in what dynamic order calls first
-        # run; _site_id still assigns lazily for any call created later.
-        for function in self.module.functions.values():
-            for block in function.blocks:
-                for instr in block.instructions:
-                    if instr.opcode == "call":
-                        self._site_id(self._call_site_key(function, instr))
+        plan = _load_plan(self.module, self.libc.builtin_names())
+        self.symbol_addrs = dict(plan.symbol_addrs)
+        self.addr_to_function = dict(plan.addr_to_function)
+        self.call_sites = dict(plan.call_sites)
+        self.next_site = len(plan.call_sites)
+        data = self.memory.map_globals(plan.globals_size).data
+        for off, gvar in plan.images:
+            data[off:off + len(gvar.data)] = gvar.data
+        for addr, value in plan.relocations:
+            self.memory.write_ptr(addr, value)
 
     def attach_observer(self, observer):
         observer.attach(self)

@@ -1,7 +1,8 @@
 """The template-generated engine against the reference interpreter under
 every registered protection profile, and seeded-bug controls showing
-the equivalence contracts catch a broken template, a broken region or
-a broken specialized call path.
+the equivalence contracts catch a broken template, a broken region, a
+broken specialized call path or a broken per-program specialization
+cache.
 
 ``test_engine_equivalence.py`` runs SoftBound configurations with no
 observers; here every profile in ``all_profiles()`` runs with its own
@@ -16,6 +17,8 @@ from test_budget_cuts import cuts_disagree  # sibling modules in tests/vm
 from test_call_convention import (CONFIGS, constant_args_agree, link_agrees,
                                   recursion_agrees)
 from test_temporal_equivalence import assert_engines_agree as temporal_agree
+from test_warm_machines import (PROGRAM, budgets_agree, observed, profiled,
+                                warm, warm_agrees)
 
 from repro.api import compile_source
 from repro.api.profiles import all_profiles
@@ -325,6 +328,98 @@ def test_stack_overflow_off_by_one_frame_is_caught(call_mutant):
                           "if base - frame_size < stack_base:", applied))
     assert not recursion_agrees("spatial")
     assert applied and all(applied)
+
+
+def stale_entries(monkeypatch, names):
+    """Install region specializations that keep the first machine's
+    values of ``names`` instead of taking each machine's own."""
+    make_entry = engine._region_entry
+
+    def mutated(region, eng, function):
+        factory, args = make_entry(region, eng, function)
+        first = {name: eng.values[name] for name in names}
+
+        def stale(values, *rest):
+            return factory(dict(values, **first), *rest)
+
+        return stale, args
+
+    monkeypatch.setattr(engine, "_region_entry", mutated)
+
+
+def test_kept_stats_are_caught(monkeypatch):
+    # A warm machine's regions count into the first machine's stats.
+    stale_entries(monkeypatch, ["st"])
+    assert not warm_agrees(PROGRAM)
+
+
+def test_kept_budget_is_caught(monkeypatch):
+    # A warm machine's regions test the first machine's larger budget.
+    from repro.api.profiles import as_profile
+
+    stale_entries(monkeypatch, ["limit"])
+    compiled = compile_source(PROGRAM, profile=as_profile("spatial"))
+    full = compiled.run().stats.instructions
+    assert not budgets_agree(compiled, [full - 5, full // 2])
+
+
+def blind_signature(monkeypatch, attribute, blank):
+    """Install a machine signature that ignores ``attribute`` (observers
+    or the site profile) by reading it as ``blank``."""
+    signature = engine._signature
+
+    def blind(machine):
+        saved = getattr(machine, attribute)
+        setattr(machine, attribute, blank)
+        try:
+            return signature(machine)
+        finally:
+            setattr(machine, attribute, saved)
+
+    monkeypatch.setattr(engine, "_signature", blind)
+
+
+def test_signature_blind_to_observers_is_caught(monkeypatch):
+    # An observed machine reuses unobserved specializations: its
+    # observer misses the loads and stores of compiled regions.
+    from repro.api.profiles import as_profile
+
+    blind_signature(monkeypatch, "observers", [])
+    compiled = compile_source(PROGRAM, profile=as_profile("spatial"))
+    warm(compiled)
+    assert (observed(compiled, "compiled", early_engine=True)
+            != observed(compiled, "interp"))
+
+
+def test_signature_blind_to_site_profiles_is_caught(monkeypatch):
+    # A profiled machine reuses unprofiled specializations: its profile
+    # misses the sites of compiled regions.
+    from repro.api.profiles import as_profile
+
+    blind_signature(monkeypatch, "site_profile", None)
+    compiled = compile_source(PROGRAM, profile=as_profile("spatial"))
+    warm(compiled)
+    assert profiled(compiled) != profiled(compiled, "interp")
+
+
+def test_clear_shapes_retires_program_specializations(fresh_shapes,
+                                                      monkeypatch):
+    # A warm program keeps its specializations; after a template
+    # changes, clear_shapes() must make its next machine use the new
+    # one, or the off-by-one check would go unseen.
+    from repro.api.profiles import as_profile
+
+    profile = as_profile("spatial")
+    compiled = compile_source(BOUNDARY, profile=profile)
+    reference = run_signature(compiled, profile, "interp")
+    warm(compiled)
+    assert run_signature(compiled, profile, "compiled") == reference
+    check = fresh_shapes["sb_check"]
+    monkeypatch.setitem(fresh_shapes, "sb_check",
+                        check.replace("ptr + size > bound",
+                                      "ptr + size >= bound"))
+    engine.clear_shapes()
+    assert run_signature(compiled, profile, "compiled") != reference
 
 
 def test_shape_cache_stays_bounded(fresh_shapes, monkeypatch):
