@@ -942,6 +942,9 @@ def run_serve_smoke():
                 ("compile error", "/run",
                  {"source": "int main(void) { return", "profile": "none"},
                  422, "4"),
+                ("bad integer literal", "/run",
+                 {"source": "int main(void) { return 09; }",
+                  "profile": "none"}, 422, "4"),
                 ("over budget", "/run",
                  {"source": SERVE_SMOKE_LOOP, "profile": "none",
                   "budget": 100000}, 500, "5"),

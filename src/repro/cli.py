@@ -273,12 +273,23 @@ def _build_profile(args, stderr):
 
 
 def _read_source(path, stderr):
+    """The text of the C source ``path``, or, after one error line, the
+    exit status: a usage error for a file that cannot be read, a compile
+    error for one that is not UTF-8."""
     try:
-        with open(path) as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as error:
         print(f"error: cannot read {path}: {error}", file=stderr)
-        return None
+        return EX_USAGE
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        print(f"compile error: {path}: not UTF-8 at byte offset "
+              f"{error.start}", file=stderr)
+        return EX_COMPILE
+    # Universal newlines, as a file opened in text mode reads them.
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _compile_cli(sources, profile, optimize):
@@ -481,8 +492,8 @@ def _run_site_profile(args, stdout, stderr):
         source = WORKLOADS[target].source
     else:
         source = _read_source(target, stderr)
-        if source is None:
-            return EX_USAGE
+        if isinstance(source, int):
+            return source
     try:
         report = profile_source(source, profile=args.profile,
                                 engine=args.engine, program=target,
@@ -564,8 +575,8 @@ def _dispatch(argv=None, stdout=None, stderr=None):
     sources = []
     for path in args.file:
         source = _read_source(path, stderr)
-        if source is None:
-            return EX_USAGE
+        if isinstance(source, int):
+            return source
         sources.append(source)
     name = args.file[0]
     if args.command == "check":

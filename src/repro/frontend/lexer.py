@@ -36,6 +36,16 @@ _ESCAPES = {
     "v": 11,
 }
 
+#: The largest integer constant: C99 §6.4.4p2 requires a constant to
+#: fit its type, and the widest integer type here has 64 bits.  It has
+#: at most 22 digits in any base, so a literal with more (leading zeros
+#: aside) is too large before it is converted.
+_INT_MAX = (1 << 64) - 1
+#: C's digits (``str.isdigit`` also accepts other scripts' digits and
+#: superscripts, which ``int()`` rejects).
+_DECIMAL = frozenset("0123456789")
+_HEX = _DECIMAL | frozenset("abcdefABCDEF")
+
 
 class Lexer:
     """Converts C source text into a list of tokens ending with EOF."""
@@ -105,7 +115,7 @@ class Lexer:
         ch = self._peek()
         if ch.isalpha() or ch == "_":
             return self._lex_ident(line, col)
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
+        if ch in _DECIMAL or (ch == "." and self._peek(1) in _DECIMAL):
             return self._lex_number(line, col)
         if ch == "'":
             return self._lex_char(line, col)
@@ -128,40 +138,51 @@ class Lexer:
     def _lex_number(self, line, col):
         start = self.pos
         is_float = False
-        if self._peek() == "0" and self._peek(1) in "xX":
+        if self._peek() == "0" and self._peek(1) in ("x", "X"):
             self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
+            while self._peek() in _HEX:
                 self._advance()
-            value = int(self.src[start : self.pos], 16)
+            digits, base = self.src[start + 2:self.pos], 16
+            if not digits:
+                raise LexError("hexadecimal constant has no digits", line, col)
         else:
-            while self._peek().isdigit():
+            while self._peek() in _DECIMAL:
                 self._advance()
             if self._peek() == "." and self._peek(1) != ".":
                 is_float = True
                 self._advance()
-                while self._peek().isdigit():
+                while self._peek() in _DECIMAL:
                     self._advance()
             if self._peek() in "eE" and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())
+                self._peek(1) in _DECIMAL
+                or (self._peek(1) in "+-" and self._peek(2) in _DECIMAL)
             ):
                 is_float = True
                 self._advance()
                 if self._peek() in "+-":
                     self._advance()
-                while self._peek().isdigit():
+                while self._peek() in _DECIMAL:
                     self._advance()
-            text = self.src[start : self.pos]
-            value = float(text) if is_float else int(text, 0 if text.startswith("0") else 10)
+            digits = self.src[start:self.pos]
+            base = 8 if digits.startswith("0") else 10
+            if base == 8 and not is_float and max(digits) > "7":
+                raise LexError(f"invalid digit '{max(digits)}' in octal "
+                               f"constant", line, col)
+        if is_float:
+            value = float(digits)
+        else:
+            value = (int(digits, base)
+                     if len(digits.lstrip("0")) <= 22 else None)
+            if value is None or value > _INT_MAX:
+                raise LexError("integer constant is too large for its type",
+                               line, col)
         # Suffixes: u/U/l/L in any combination; f/F forces float.
         # (guard: "" is a substring of any string, so test non-empty first)
         while self._peek() and self._peek() in "uUlLfF":
-            if self._peek() in "fF" and is_float:
-                pass
             self._advance()
         if is_float:
-            return Token(KIND_FLOAT, float(value), line, col)
-        return Token(KIND_INT, int(value), line, col)
+            return Token(KIND_FLOAT, value, line, col)
+        return Token(KIND_INT, value, line, col)
 
     def _read_escape(self, line, col):
         self._advance()  # backslash

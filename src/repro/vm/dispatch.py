@@ -14,8 +14,12 @@ The region-compiled engine (:mod:`repro.vm.engine`) generates its own
 code for the core opcodes from templates; an opcode registered here
 ends a region there and runs, every time, through its handler with the
 interpreter's bookkeeping (count, budget check, then the handler).
-Only straight-line opcodes can rely on that: a handler that transfers
-control traps on the compiled engine.
+The compiled engine runs every call its generated ops do not cover
+(indirect calls, variadic callees, observed machines) through the
+``call`` handler the same way, and follows the frame that handler
+pushes or the frame ``longjmp`` resumes.  Registered opcodes must
+still be straight-line: a handler that transfers control traps on the
+compiled engine.
 
 Both engines read the *live* dict, so opcodes registered after a
 machine was constructed are still dispatchable (the compiled engine

@@ -35,15 +35,17 @@ applied per *region* rather than per instruction:
   libc routine is generated the same way: ``Libc.call``'s split of the
   arguments from their metadata is applied once per call site to
   argument positions, and the op calls the routine's handler with the
-  two lists.  Indirect calls, variadic callees, observed machines and
-  arguments naming an unresolved symbol (whose evaluation must trap)
-  take the interpreter's frame push or ``Libc.call``.  ``ret`` is
+  two lists.  Every other call — indirect, to a variadic callee, on an
+  observed machine, with an argument naming an unresolved symbol
+  (whose evaluation must trap), or to a routine libc lacks — runs the
+  interpreter's own ``call`` handler, ``Machine._exec_call``, the way
+  an interp-only opcode runs (:func:`_interpreted`).  ``ret`` is
   generated too, with inlined reads of the returned value and
   metadata; on an unobserved machine it tears the frame down inline:
   it clears the metadata of the function's pointer-bearing slots (its
   frame layout's ``pointer_slots``) and releases the frame's lock;
 * an opcode a checker policy registers with only an interpreter
-  handler is a one-instruction region that always runs through that
+  handler is a one-instruction slot that always runs through that
   handler (:func:`_interpret`) and is never compiled;
 * the dispatch loop is ``i = ops[i](frame, regs)``: each op returns the
   next op's flat offset, so there is no per-step opcode lookup at all,
@@ -109,15 +111,16 @@ earlier machines of the program specialized.  Each region counts its
 executions over all machines of the program: its first
 :data:`HOT_RUNS` - 1 run through the reference interpreter's handlers
 and the next one compiles it, so a region that was hot on an earlier
-machine compiles at its first execution on a later one.  Each region,
-call and ret site keeps one *entry* per machine signature
-(:func:`_signature`: whether observers and a site profile are attached,
-the SoftBound runtime's policy and config, the heap and stack geometry,
-and the shape generation, which :func:`clear_shapes` bumps): the shape's
-factory with the bound values, which are the same on every machine of
-that signature.  The first such machine runs the binders and stores
-the entry; a later one specializes each op lazily, at its first
-execution, with one factory call on its own values.  Entries
+machine compiles at its first execution on a later one.  Every slot of
+the layout (a region, call, ret or interp-only opcode) keeps one
+*entry* per machine signature (:func:`_signature`: whether observers
+and a site profile are attached, the SoftBound runtime's policy and
+config, the heap and stack geometry, and the shape generation, which
+:func:`clear_shapes` bumps): its op's factory with the bound values,
+which are the same on every machine of that signature.  The first such
+machine builds the entry and stores it; a later one specializes each
+op lazily, at its first execution, with one factory call on its own
+values.  Entries
 hold program-level objects only, stay out of pickles with the layout
 (``Function.__getstate__``) and are freed with their program.  Most
 code of a short run (a freshly generated program) executes a few times
@@ -153,6 +156,8 @@ from .machine import (
     Machine,
     _frame_layout,
     _operand_type,
+    _store_result,
+    _write_meta,
     param_bindings,
 )
 
@@ -193,6 +198,9 @@ _COST_FNPTR = OP_COSTS["sb.fnptr.check"]
 #: ``_push_frame`` writes ``va_metas``, and only for variadic callees).
 _EMPTY_VA_METAS = {}
 
+#: The operand a call plan binds a zero-filled companion to.
+_ZERO = Const(0, I64)
+
 
 class ClosureEngine:
     """Per-machine compiled-code cache plus the threaded dispatch loop."""
@@ -225,46 +233,13 @@ class ClosureEngine:
         self._code.clear()
         self._rekey()
 
-    # -- operand pre-resolution -------------------------------------------
-
-    def acc(self, operand):
-        """Compile an operand into a ``fn(regs) -> value`` accessor with
-        the isinstance tests done exactly once, here.  Symbols resolve
-        through the module's load plan, so an accessor is the same on
-        every machine of a program."""
-        if isinstance(operand, Register):
-            uid = operand.uid
-
-            def get_reg(regs, _uid=uid):
-                return regs.get(_uid, 0)
-
-            return get_reg
-        if isinstance(operand, Const):
-            value = operand.value
-            return lambda regs: value
-        if isinstance(operand, SymbolRef):
-            addr = self.machine.symbol_addrs.get(operand.name)
-            if addr is None:
-                name = operand.name
-
-                def unresolved(regs):
-                    raise Trap(TrapKind.SEGFAULT, f"unresolved symbol {name}")
-
-                return unresolved
-            value = addr + operand.addend
-            return lambda regs: value
-        raise TypeError(f"bad operand {operand!r}")
-
     # -- compilation --------------------------------------------------------
 
     def code_for(self, function):
-        """The op list for ``function`` on this machine, one slot per
-        flat instruction offset.  A region's slot is its first
-        instruction's and starts as a stub (:func:`_cold`) that
-        interprets the region until it is hot on the program, then
-        binds it; a call, ret, interp-only or sentinel slot starts as a
-        stub that specializes the op at its first execution.  The other slots of a region are ``None``: nothing
-        resumes inside a region.
+        """The op list for ``function`` on this machine, one entry per
+        flat instruction offset: each layout slot's starts as a stub
+        (:func:`_cold`) that binds the slot's op, and the other offsets
+        of a region hold ``None``: nothing resumes inside a region.
 
         The machine-level cache is validated once here, not per
         transition: IR rewrites happen before execution starts (the
@@ -274,11 +249,9 @@ class ClosureEngine:
         """
         layout = _function_template(function)
         ops = [None] * len(layout)
-        for i, entry in enumerate(layout):
-            if isinstance(entry, _Region):
-                ops[i] = partial(_cold, ops, i, entry, self, function)
-            elif entry is not None:
-                ops[i] = partial(_specialize, ops, i, entry, self, function)
+        for i, region in enumerate(layout):
+            if region is not None:
+                ops[i] = partial(_cold, ops, i, region, self, function)
         self._code[id(function)] = ops
         return ops
 
@@ -340,7 +313,7 @@ def _machine_values(engine):
         "slots": {} if lockspace is None else lockspace.slots,
         "frames": machine.frames, "stack_data": memory.stack.data,
         "libc": machine.libc, "addr_to_function": machine.addr_to_function,
-        "read_u64": memory.scalar_reader(8, False),
+        "read_ptr": memory.read_ptr,
         "check_signature": machine._check_call_signature,
         "pop_frame": machine._pop_frame,
         "clear_range": None if facility is None else facility.clear_range,
@@ -369,21 +342,16 @@ def _signature(machine):
 
 
 def _cold(ops, i, region, engine, function, frame, regs):
-    """A region's execution before it is hot: the program's first
-    ``HOT_RUNS - 1`` executions of it, over all its machines, run
-    through the reference interpreter's handlers; from the next one on,
-    each machine binds the region at its first execution and runs the
-    compiled op."""
-    seen = region.runs + 1
-    if seen < HOT_RUNS:
-        region.runs = seen
-        return _interpret(engine, region, frame, regs)
+    """A slot's execution before this machine bound its op.  A region's
+    first ``HOT_RUNS - 1`` executions, over all machines of the program,
+    run through the interpreter's handlers; from the next one on, and
+    for any other slot at once, the machine binds the op and runs it."""
+    if region.build is None:
+        seen = region.runs + 1
+        if seen < HOT_RUNS:
+            region.runs = seen
+            return _interpret(engine, region, frame, regs)
     op = ops[i] = _bind_region(region, engine, function)
-    return op(frame, regs)
-
-
-def _specialize(ops, i, make, engine, function, frame, regs):
-    op = ops[i] = make(engine, function)
     return op(frame, regs)
 
 
@@ -391,7 +359,9 @@ def _interpret(engine, region, frame, regs):
     """Run ``region`` one instruction at a time exactly as the reference
     interpreter's loop does: count, budget test, handler.  Cold regions
     run here, and so does a compiled region whose budget test failed, so
-    ``RESOURCE_LIMIT`` traps at the interpreter's instruction."""
+    ``RESOURCE_LIMIT`` traps at the interpreter's instruction, and so do
+    the slots of :func:`_interpreted`; when a ``call`` handler pushed a
+    frame or ``longjmp`` resumed, the outer loop takes over."""
     st = engine.stats
     machine = engine.machine
     limit = engine.limit
@@ -404,6 +374,8 @@ def _interpret(engine, region, frame, regs):
         if INTERP_HANDLERS[instr.opcode](machine, frame, instr) is not None:
             if instr.is_terminator:
                 return region.offsets[frame.block.label]
+            if instr.opcode == "call":
+                return -1
             # An interp-only handler transferred control, which a
             # straight-line region cannot mirror: failing loudly beats
             # silently executing the wrong successor.
@@ -416,9 +388,9 @@ def _interpret(engine, region, frame, regs):
 
 # ---------------------------------------------------------------------------
 # Function layout (machine-independent): each function's blocks are laid
-# out into one flat list, one slot per instruction, holding a region at
-# its first instruction's slot, an op builder at each call, ret and
-# interp-only opcode, and ``None`` inside regions.  In-function branches
+# out into one flat list, one offset per instruction, holding a slot (a
+# region, or a call, ret or interp-only opcode) at its first
+# instruction's offset and ``None`` inside regions.  In-function branches
 # resolve to flat offsets at compile time, so taken branches never leave
 # the inner dispatch loop.  The layout is cached on the function and
 # invalidated through its blocks' ``version`` stamps.
@@ -426,22 +398,26 @@ def _interpret(engine, region, frame, regs):
 
 
 class _Region:
-    """One straight-line run of ``block``: ``instrs``, then the op at
-    flat offset ``nxt`` unless the last instruction is a terminator;
-    ``offsets`` maps the function's block labels to flat offsets.
-    ``runs`` counts its interpreted executions over every machine of
-    the program, and ``entries`` maps a machine signature to the
-    region's specialization on such machines (:func:`_bind_region`)."""
+    """One slot of a function's layout: ``instrs`` of ``block``, then the
+    op at flat offset ``nxt`` unless the last instruction is a
+    terminator; ``offsets`` maps block labels to flat offsets.  A
+    straight-line region counts in ``runs`` its interpreted executions
+    over every machine of the program; a call, ret or interp-only slot
+    (one instruction) or a sentinel (none) has a ``build(slot, engine,
+    function)`` that makes its entry.  ``entries`` maps a machine
+    signature to the slot's specialization (:func:`_bind_region`)."""
 
-    __slots__ = ("instrs", "block", "offsets", "nxt", "runs", "entries")
+    __slots__ = ("instrs", "block", "offsets", "nxt", "runs", "entries",
+                 "build")
 
-    def __init__(self, instrs, block, offsets, nxt):
+    def __init__(self, instrs, block, offsets, nxt, build=None):
         self.instrs = tuple(instrs)
         self.block = block
         self.offsets = offsets
         self.nxt = nxt
         self.runs = 0
         self.entries = {}
+        self.build = build
 
 
 def _function_template(function):
@@ -476,22 +452,22 @@ def _function_template(function):
                 layout[base + start] = _Region(instrs[start:i], block,
                                                offsets, base + i)
             if opcode == "call":
-                # index and block: setjmp records the call site.
-                layout[base + i] = _per_signature(
-                    partial(_call_entry, instr, base + i, block))
+                build = _call_entry
             elif opcode == "ret":
-                layout[base + i] = _per_signature(partial(_ret_entry, instr))
+                build = _ret_entry
             elif opcode in INTERP_HANDLERS:
-                layout[base + i] = _build_interp(
-                    _Region((instr,), block, offsets, base + i + 1))
+                build = _interp_entry
             else:
                 raise Trap(TrapKind.UNREACHABLE, f"no builder for opcode {opcode}")
+            layout[base + i] = _Region((instr,), block, offsets, base + i + 1,
+                                       build)
             start = i + 1
         if start < len(instrs):
             layout[base + start] = _Region(instrs[start:], block, offsets,
                                            base + len(instrs))
         if block.terminator is None:
-            layout[base + len(instrs)] = _build_sentinel(block.label)
+            layout[base + len(instrs)] = _Region((), block, offsets, None,
+                                                 _sentinel_entry)
     try:
         function._engine_template = (versions, layout)
     except AttributeError:
@@ -499,23 +475,39 @@ def _function_template(function):
     return layout
 
 
-def _build_interp(region):
-    # An opcode registered with only an interpreter handler: its
-    # one-instruction region runs through that handler every time.
-    def make(engine, function):
-        return partial(_interpret, engine, region)
-
-    return make
+def _interp_entry(slot, engine, function):
+    """An opcode registered with only an interpreter handler runs
+    through that handler every time."""
+    return _interpreted, (slot,)
 
 
-def _build_sentinel(label):
-    def make(engine, function):
-        def op(frame, regs):
-            raise Trap(TrapKind.UNREACHABLE, f"fell off block {label}")
+def _interpreted(M, slot):
+    """The op of an interp-only opcode or a call no generated op covers:
+    the interpreter's handler (:func:`_interpret`), after setting
+    ``frame.index`` to the slot's offset as the interpreter's loop has
+    it, so a ``call`` handler's ``+= 1`` resumes after the call and
+    ``setjmp`` records the call site."""
+    engine = M["engine"]
+    index = slot.nxt - 1
 
-        return op
+    def op(frame, regs):
+        frame.index = index
+        return _interpret(engine, slot, frame, regs)
 
-    return make
+    return op
+
+
+def _sentinel_entry(slot, engine, function):
+    """Falling off a block without a terminator (malformed, pre-verifier
+    IR) traps exactly like the reference interpreter."""
+    return _fell_off, (f"fell off block {slot.block.label}",)
+
+
+def _fell_off(M, msg):
+    def op(frame, regs):
+        raise Trap(TrapKind.UNREACHABLE, msg)
+
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +679,7 @@ _SHARED = frozenset(("st", "limit", "nxt", "slow", "counts", "observers",
 _MACHINE = {name: f'M["{name}"]' for name in (
     "engine", "machine", "st", "limit", "observers", "memory", "runtime",
     "facility", "counts", "segment_for", "cached", "slots", "frames",
-    "stack_data", "libc", "addr_to_function", "read_u64",
+    "stack_data", "libc", "addr_to_function", "read_ptr",
     "check_signature", "pop_frame", "clear_range", "acquire", "release")}
 _MACHINE.update(slow='partial(_interpret, M["engine"], region)',
                 read='_reader(M["memory"], size{sfx})',
@@ -963,14 +955,14 @@ def _repair(marks, first, size, st, exc):
 
 
 def _bind_region(region, engine, function):
-    """Specialize ``region`` on ``engine``'s machine: one call of the
-    shape's factory with the machine's values and the values the
-    region binds on every machine of its signature, which the first
-    such machine computes (:func:`_region_entry`)."""
+    """Specialize the slot ``region`` on ``engine``'s machine: one call
+    of its op's factory with the machine's values and the values the
+    slot binds on every machine of its signature, which the first such
+    machine computes (the slot's ``build``, or :func:`_region_entry`)."""
     entry = region.entries.get(engine.signature)
     if entry is None:
-        entry = region.entries[engine.signature] = _region_entry(
-            region, engine, function)
+        entry = region.entries[engine.signature] = (
+            region.build or _region_entry)(region, engine, function)
     factory, args = entry
     return factory(engine.values, *args)
 
@@ -1028,14 +1020,20 @@ def _bind_operand(bound, name, operand, forwards, engine, as_int):
         kind = "c"
     else:
         addrs = engine.machine.symbol_addrs
-        if isinstance(operand, SymbolRef) and operand.name in addrs:
+        if operand.name in addrs:
             bound["c_" + name] = addrs[operand.name] + operand.addend
             return "c"
-        bound["a_" + name] = engine.acc(operand)
+        bound["a_" + name] = partial(_unresolved, operand.name)
         return "a"
     if as_int and (operand.type is None or operand.type.is_float):
         kind += "f"
     return kind
+
+
+def _unresolved(name, regs):
+    """Evaluate a symbol the loader did not resolve: trap, as the
+    interpreter does."""
+    raise Trap(TrapKind.SEGFAULT, f"unresolved symbol {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -1286,26 +1284,9 @@ _BINDERS = {
 
 
 # ---------------------------------------------------------------------------
-# Frame transfer: ret and call.  Each site keeps its specialization per
-# machine signature on the program, as ``(factory, values)``, and binds
-# it to a machine with ``factory(machine values, *values)``.
+# Frame transfer: ret and call, whose slots keep their specializations
+# on the program as regions do (:func:`_bind_region`).
 # ---------------------------------------------------------------------------
-
-
-def _per_signature(build):
-    """A layout entry's ``make(engine, function)``: the ``(factory,
-    values)`` pair ``build(engine, function)`` returns, kept per machine
-    signature, bound to ``engine``'s machine."""
-    entries = {}
-
-    def make(engine, function):
-        entry = entries.get(engine.signature)
-        if entry is None:
-            entry = entries[engine.signature] = build(engine, function)
-        factory, args = entry
-        return factory(engine.values, *args)
-
-    return make
 
 
 def _expand(template, flags, blocks):
@@ -1363,23 +1344,6 @@ def _shape_entry(key, source_of, bound):
     return factory, tuple([bound[name] for name in params])
 
 
-def _bind_argument(bound, name, operand, addrs):
-    """Bind one resolvable call operand under ``name``: ``r_name`` (a
-    register uid, kind ``r``) or ``c_name`` (a constant, a resolved
-    symbol's address, or zero for a missing operand, kind ``c``)."""
-    if isinstance(operand, Register):
-        bound[f"r_{name}"] = operand.uid
-        return "r"
-    if operand is None:
-        value = 0
-    elif isinstance(operand, Const):
-        value = operand.value
-    else:
-        value = addrs[operand.name] + operand.addend
-    bound[f"c_{name}"] = value
-    return "c"
-
-
 #: The line reading an operand bound under a name into the local of
 #: that name, by its kind (see :func:`_bind_operand`).
 _READS = {"r": "{0} = regs[r_{0}]", "c": "{0} = c_{0}", "a": "{0} = a_{0}(regs)"}
@@ -1391,12 +1355,12 @@ _READS = {"r": "{0} = regs[r_{0}]", "c": "{0} = c_{0}", "a": "{0} = a_{0}(regs)"
 #: operands, the saved FP and return address read back from simulated
 #: memory (the attack surface the Wilander suite exercises: a corrupted
 #: saved FP can point anywhere, so outside the stack segment the
-#: trapping reader runs), then frame teardown.  An observed machine
-#: takes the generic pop (``on_stack_free``, then the runtime's
-#: teardown); otherwise it is inline: pop, clear the metadata of the
-#: function's pointer-bearing slots (its frame layout's, as
-#: ``SoftBoundRuntime.on_frame_teardown`` does), release the frame's
-#: temporal lock, restore sp.
+#: interpreter's trapping ``Memory.read_ptr`` runs), then frame
+#: teardown.  An observed machine takes the generic pop
+#: (``on_stack_free``, then the runtime's teardown); otherwise it is
+#: inline: pop, clear the metadata of the function's pointer-bearing
+#: slots (its frame layout's, as ``SoftBoundRuntime.on_frame_teardown``
+#: does), release the frame's temporal lock, restore sp.
 _RET = """\
 n = st.instructions + 1
 st.instructions = n
@@ -1410,8 +1374,8 @@ if stack_base <= fp and fp + 16 <= stack_end:
     saved_fp = unpack_u64(stack_data, off)[0]
     ret_addr = unpack_u64(stack_data, off + 8)[0]
 else:
-    saved_fp = read_u64(fp)
-    ret_addr = read_u64(fp + 8)
+    saved_fp = read_ptr(fp)
+    ret_addr = read_ptr(fp + 8)
 if ret_addr != frame.expected_ret:
     target = addr_to_function.get(ret_addr, "")
     kind = TrapKind.CONTROL_FLOW_HIJACK if target else TrapKind.WILD_JUMP
@@ -1442,16 +1406,10 @@ return -1
 """
 
 
-def _write_meta(regs, dst_meta, values):
-    """Write returned metadata to the caller's registers ``dst_meta``:
-    ``values`` in order, and zero past them."""
-    for i, reg in enumerate(dst_meta):
-        regs[reg.uid] = values[i] if i < len(values) else 0
-
-
-def _ret_entry(instr, engine, function):
+def _ret_entry(slot, engine, function):
     """Specialize a ``ret`` for machines of ``engine``'s signature: its
     returned operands, the stack geometry and the slots it clears."""
+    instr = slot.instrs[0]
     runtime = engine.machine.sb_runtime
     observed = bool(engine.observers)
     stack = engine.memory.stack
@@ -1499,36 +1457,15 @@ def _ret_source(key, names):
                       names)
 
 
-def _needs_signature_check(instr, function):
-    """Whether the dynamic signature check (paper Section 5.2) applies
-    to this call edge.  The check itself is delegated to
-    ``Machine._check_call_signature`` so its semantics and trap message
-    have exactly one definition."""
-    return (getattr(instr, "sb_call_signature", None) is not None
-            and getattr(function, "sb_signature", None) is not None)
-
-
-def _store_result(regs, dst, dst_meta, result):
-    """Write a builtin's result, and any metadata it returns with a
-    pointer, to the caller's registers (the interpreter's libc path)."""
-    if isinstance(result, tuple):
-        regs[dst.uid] = result[0]
-        meta = result[1:]
-    else:
-        regs[dst.uid] = result if result is not None else 0
-        meta = ()
-    if dst_meta is not None:
-        _write_meta(regs, dst_meta, meta)
-
-
-def _call_entry(instr, index, cur_block, engine, function):
+def _call_entry(slot, engine, function):
     """Specialize a call for machines of ``engine``'s signature: a
     direct call to a non-variadic module function on an unobserved
     machine is the generated call op, a direct call to a libc routine
     the generated builtin op, when no argument names an unresolved
-    symbol; any other call runs :func:`_generic_call`."""
+    symbol; any other call runs the interpreter's ``call`` handler
+    (:func:`_interpreted`)."""
+    instr = slot.instrs[0]
     machine = engine.machine
-    site = machine._site_id(machine._call_site_key(function, instr))
     runtime = machine.sb_runtime
     arity = None if runtime is None else runtime.meta_arity
     call_cost = _COST_CALL + _COST_CALL_ARG * len(instr.args)
@@ -1539,129 +1476,20 @@ def _call_entry(instr, index, cur_block, engine, function):
         target_name = f"_sb_{target_name}"
     target = functions.get(target_name)
     addrs = machine.symbol_addrs
-    resolvable = all(isinstance(a, (Register, Const))
-                     or (isinstance(a, SymbolRef) and a.name in addrs)
-                     for a in instr.args)
-    if target is not None and resolvable and not target.varargs \
-            and not engine.observers:
+    if target_name is None or not all(
+            isinstance(a, (Register, Const))
+            or (isinstance(a, SymbolRef) and a.name in addrs)
+            for a in instr.args):
+        return _interpreted, (slot,)
+    if target is not None and not target.varargs and not engine.observers:
+        site = machine._site_id(machine._call_site_key(function, instr))
         return _bind_call(engine, instr, target,
-                          _call_plan(instr, target, arity), site, index + 1,
-                          call_cost, _needs_signature_check(instr, target))
-    if target is None and target_name is not None and resolvable \
-            and hasattr(Libc, "_do_" + target_name):
-        return _bind_builtin(engine, instr, target_name, arity, cur_block,
-                             index, call_cost)
-    callee_acc = None if target_name is not None else engine.acc(
-        instr.callee_reg)
-    return _generic_call, (instr, target, target_name,
-                           [engine.acc(a) for a in instr.args], callee_acc,
-                           call_cost, site, index, cur_block)
-
-
-def _generic_call(M, instr, target, target_name, arg_accs, callee_acc,
-                  call_cost, site, index, cur_block):
-    """The op of a call the generated ops do not cover: to the module
-    function ``target`` through the interpreter's frame push (a
-    variadic callee, an observed machine or an argument whose
-    evaluation traps), else to the builtin ``target_name`` through
-    ``Libc.call``, else an indirect call through ``callee_acc``."""
-    machine = M["machine"]
-    st = M["st"]
-    limit = M["limit"]
-    runtime = machine.sb_runtime
-    has_sb = runtime is not None
-    meta_arity = runtime.meta_arity if has_sb else 2
-    functions = machine.module.functions
-    dst = instr.dst
-    dst_meta = getattr(instr, "sb_dst_meta", None)
-    nxt = index + 1
-    push_frame = machine._push_frame
-    split_meta = machine._split_call_metadata
-    check_signature = machine._check_call_signature
-    libc_call = machine.libc.call
-
-    def enter(frame, target, args):
-        """The general frame push (metadata, observers, varargs)."""
-        frame.index = nxt  # resume after the call on return
-        arg_metas = None
-        if has_sb:
-            args, arg_metas = split_meta(args, instr, meta_arity)
-        new_frame = push_frame(target, args, site, arg_metas)
-        new_frame.dst_reg = dst
-        new_frame.dst_meta = dst_meta
-        new_frame.caller_site = frame
-        new_frame.block = target.entry
-        new_frame.index = 0
-        return -1
-
-    def call_builtin(frame, regs, name, args):
-        frame.block = cur_block
-        frame.index = index  # setjmp records the call site
-        machine._control_transferred = False
-        result = libc_call(name, args, instr)
-        if machine._control_transferred:
-            return -1
-        if dst is not None:
-            _store_result(regs, dst, dst_meta, result)
-        return nxt
-
-    if target is not None:
-        has_sig = _needs_signature_check(instr, target)
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            st.calls += 1
-            st.cost += call_cost
-            args = [acc(regs) for acc in arg_accs]
-            if has_sig:
-                check_signature(instr, target)
-            return enter(frame, target, args)
-
-        return op
-
-    if target_name is not None:
-
-        def op(frame, regs):
-            n = st.instructions + 1
-            st.instructions = n
-            if n > limit:
-                raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-            st.calls += 1
-            st.cost += call_cost
-            return call_builtin(frame, regs, target_name,
-                                [acc(regs) for acc in arg_accs])
-
-        return op
-
-    # Indirect call: the target is a runtime value; resolution and
-    # signature checking stay dynamic (cold path).
-    addr_to_function = machine.addr_to_function
-
-    def op(frame, regs):
-        n = st.instructions + 1
-        st.instructions = n
-        if n > limit:
-            raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-        st.calls += 1
-        st.cost += call_cost
-        args = [acc(regs) for acc in arg_accs]
-        addr = int(callee_acc(regs))
-        name = addr_to_function.get(addr)
-        if name is None:
-            raise Trap(TrapKind.WILD_JUMP,
-                       "indirect call to non-code address", address=addr)
-        if has_sb and f"_sb_{name}" in functions:
-            name = f"_sb_{name}"
-        if name in functions:
-            target = functions[name]
-            check_signature(instr, target)
-            return enter(frame, target, args)
-        return call_builtin(frame, regs, name, args)
-
-    return op
+                          _call_plan(instr, target, arity), site, slot.nxt,
+                          call_cost)
+    if target is None and hasattr(Libc, "_do_" + target_name):
+        return _bind_builtin(engine, instr, target_name, arity, slot.block,
+                             slot.nxt - 1, call_cost)
+    return _interpreted, (slot,)
 
 
 # ---------------------------------------------------------------------------
@@ -1750,7 +1578,7 @@ def _call_source(key, names):
     return _op_source(_expand(_CALL, dict(flags), {"bind": bind}), names)
 
 
-def _bind_call(engine, instr, target, plan, site, nxt, call_cost, has_sig):
+def _bind_call(engine, instr, target, plan, site, nxt, call_cost):
     """Specialize a direct call to the non-variadic module function
     ``target`` for machines of ``engine``'s signature (no observers,
     every argument resolvable): bind the plan's sources — a caller
@@ -1773,12 +1601,16 @@ def _bind_call(engine, instr, target, plan, site, nxt, call_cost, has_sig):
     }
     if lock:
         bound.update(frame_key=frame_meta[0].uid, frame_lock=frame_meta[1].uid)
-    addrs = engine.machine.symbol_addrs
     kinds = []
     for k, (uid, pos) in enumerate(plan):
         bound[f"u_{k}"] = uid
-        kinds.append(_bind_argument(
-            bound, k, None if pos is None else instr.args[pos], addrs))
+        kinds.append(_bind_operand(
+            bound, str(k), _ZERO if pos is None else instr.args[pos], {},
+            engine, False))
+    # The dynamic signature check (paper Section 5.2) runs
+    # ``Machine._check_call_signature`` when both sides carry one.
+    has_sig = (getattr(instr, "sb_call_signature", None) is not None
+               and getattr(target, "sb_signature", None) is not None)
     key = ("call", tuple(kinds), (("sig", has_sig), ("lock", lock)))
     return _shape_entry(key, _call_source, bound)
 
@@ -1851,8 +1683,7 @@ def _bind_builtin(engine, instr, target_name, arity, cur_block, index,
              "nxt": index + 1, "dst": instr.dst,
              "dst_meta": getattr(instr, "sb_dst_meta", None), "instr": instr,
              "target_name": target_name}
-    addrs = engine.machine.symbol_addrs
-    kinds = tuple([_bind_argument(bound, k, operand, addrs)
+    kinds = tuple([_bind_operand(bound, str(k), operand, {}, engine, False)
                    for k, operand in enumerate(instr.args)])
     key = ("builtin", kinds, positions, metas, (("dst", instr.dst is not None),))
     return _shape_entry(key, _builtin_source, bound)

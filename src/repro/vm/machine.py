@@ -355,14 +355,6 @@ class Machine:
             self._engine.invalidate()
         return profile
 
-    def global_addr(self, name):
-        return self.symbol_addrs[name]
-
-    def global_range(self, name):
-        gvar = self.module.globals[name]
-        addr = self.symbol_addrs[name]
-        return addr, addr + max(gvar.size, 1)
-
     # -- running ---------------------------------------------------------------
 
     def run(self, entry="main", args=()):
@@ -806,21 +798,8 @@ class Machine:
             # the dispatch loop advance past the resume point.
             return True
         if instr.dst is not None:
-            if isinstance(result, tuple):
-                # (value, base, bound[, key, lock]) — a pointer return
-                # from a library wrapper with its metadata attached.
-                frame.regs[instr.dst.uid] = result[0]
-                meta = getattr(instr, "sb_dst_meta", None)
-                if meta is not None:
-                    rest = result[1:]
-                    for i, reg in enumerate(meta):
-                        frame.regs[reg.uid] = rest[i] if i < len(rest) else 0
-            else:
-                frame.regs[instr.dst.uid] = result if result is not None else 0
-                meta = getattr(instr, "sb_dst_meta", None)
-                if meta is not None:
-                    for reg in meta:
-                        frame.regs[reg.uid] = 0
+            _store_result(frame.regs, instr.dst,
+                          getattr(instr, "sb_dst_meta", None), result)
 
     def _check_call_signature(self, instr, function):
         """Dynamic pointer/non-pointer signature check at indirect calls
@@ -852,10 +831,8 @@ class Machine:
     def _exec_ret(self, frame, instr):
         self.stats.charge("ret")
         value = self._value(frame, instr.value) if instr.value is not None else None
-        meta = getattr(instr, "sb_meta", None)
-        meta_vals = None
-        if meta is not None:
-            meta_vals = tuple(self._value(frame, m) for m in meta)
+        meta_vals = tuple(self._value(frame, m)
+                          for m in getattr(instr, "sb_meta", None) or ())
         # Read the control data back from simulated memory — the attack
         # surface the Wilander suite exercises.
         saved_fp = self.memory.read_ptr(frame.fp)
@@ -876,13 +853,7 @@ class Machine:
         if frame.dst_reg is not None and value is not None:
             caller.regs[frame.dst_reg.uid] = value
         if frame.dst_meta is not None:
-            if meta_vals is not None:
-                for i, reg in enumerate(frame.dst_meta):
-                    caller.regs[reg.uid] = (meta_vals[i]
-                                            if i < len(meta_vals) else 0)
-            else:
-                for reg in frame.dst_meta:
-                    caller.regs[reg.uid] = 0
+            _write_meta(caller.regs, frame.dst_meta, meta_vals)
         return value
 
     # -- SoftBound runtime instructions ------------------------------------------
@@ -1039,6 +1010,28 @@ class Machine:
             frame.regs[record["dst"].uid] = value if value != 0 else 1
         self._control_transferred = True
         return None
+
+
+def _store_result(regs, dst, dst_meta, result):
+    """Write a builtin's result to the caller's register ``dst``: a
+    tuple is a pointer a library wrapper returns with its metadata
+    attached, ``(value, base, bound[, key, lock])``, which goes to the
+    metadata registers ``dst_meta``."""
+    if isinstance(result, tuple):
+        regs[dst.uid] = result[0]
+        meta = result[1:]
+    else:
+        regs[dst.uid] = result if result is not None else 0
+        meta = ()
+    if dst_meta is not None:
+        _write_meta(regs, dst_meta, meta)
+
+
+def _write_meta(regs, dst_meta, values):
+    """Write returned metadata to the caller's registers ``dst_meta``:
+    ``values`` in order, and zero past them."""
+    for i, reg in enumerate(dst_meta):
+        regs[reg.uid] = values[i] if i < len(values) else 0
 
 
 def _sig_text(signature):

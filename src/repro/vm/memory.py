@@ -31,10 +31,8 @@ three data regions occupy disjoint, ordered ranges) backed by a
 last-segment cache, and the scalar codec uses pre-built
 :class:`struct.Struct` instances unpacking straight out of the segment
 mapping — no per-access linear scan, no intermediate ``bytes`` copy.
-The closure-compiled engine binds the :meth:`scalar_reader` /
-:meth:`scalar_writer` factories, which additionally keep a private
-per-closure segment cache (an instruction that repeatedly touches one
-array never re-resolves its segment).
+The compiled engine's load and store templates inline the same codecs
+behind a segment cache of their own per instruction.
 """
 
 import mmap
@@ -137,9 +135,6 @@ class Memory:
                 return seg
         return None
 
-    def is_mapped(self, addr, size=1):
-        return self._segment_for(addr, size) is not None
-
     # -- raw access --------------------------------------------------------
 
     def read(self, addr, size):
@@ -198,64 +193,6 @@ class Memory:
 
     def write_ptr(self, addr, value):
         self.write_int(addr, value, 8)
-
-    # -- closure-engine codec factories --------------------------------------
-
-    def _codec_reader(self, codec, width):
-        """A bound reader closure ``fn(addr) -> value`` with its own
-        segment cache — the compiled engine binds one per memory-touching
-        instruction, so an instruction that loops over one array resolves
-        its segment once."""
-        unpack_from = codec.unpack_from
-        segment_for = self._segment_for
-        cached = self.heap
-
-        def read(addr):
-            nonlocal cached
-            seg = cached
-            if addr < seg.base or addr + width > seg.end:
-                seg = segment_for(addr, width)
-                if seg is None:
-                    raise Trap(TrapKind.SEGFAULT, f"read of {width} bytes",
-                               address=addr)
-                cached = seg
-            return unpack_from(seg.data, addr - seg.base)[0]
-
-        return read
-
-    def _codec_writer(self, codec, width, convert_float):
-        pack_into = codec.pack_into
-        mask = (1 << (width * 8)) - 1
-        segment_for = self._segment_for
-        cached = self.heap
-
-        def write(addr, value):
-            nonlocal cached
-            seg = cached
-            if addr < seg.base or addr + width > seg.end:
-                seg = segment_for(addr, width)
-                if seg is None:
-                    raise Trap(TrapKind.SEGFAULT, f"write of {width} bytes",
-                               address=addr)
-                cached = seg
-            if convert_float:
-                pack_into(seg.data, addr - seg.base, float(value))
-            else:
-                pack_into(seg.data, addr - seg.base, value & mask)
-
-        return write
-
-    def scalar_reader(self, width, signed):
-        return self._codec_reader(_SCALAR_CODECS[(width, signed)], width)
-
-    def scalar_writer(self, width):
-        return self._codec_writer(_SCALAR_CODECS[(width, False)], width, False)
-
-    def f64_reader(self):
-        return self._codec_reader(_F64, 8)
-
-    def f64_writer(self):
-        return self._codec_writer(_F64, 8, True)
 
     # -- strings ---------------------------------------------------------------
 

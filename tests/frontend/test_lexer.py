@@ -45,6 +45,41 @@ def test_hex_integer():
     assert values("0x10 0xff 0XDEAD") == [16, 255, 0xDEAD]
 
 
+def test_octal_integer():
+    # A leading 0 makes a C integer constant octal (C99 6.4.4.1).
+    assert values("0777 0 00 010 0x1F") == [511, 0, 0, 8, 31]
+
+
+def test_leading_zero_float_stays_decimal():
+    assert values("09.5 01e1") == [9.5, 10.0]
+
+
+def test_largest_integer_constant():
+    # 2**64 - 1 in each base, and leading zeros do not count as digits.
+    assert values("18446744073709551615 0xffffffffffffffff "
+                  "01777777777777777777777 " + "0" * 40 + "7") == [
+        2 ** 64 - 1, 2 ** 64 - 1, 2 ** 64 - 1, 7]
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("09", "invalid digit '9' in octal constant"),
+    ("0778", "invalid digit '8' in octal constant"),
+    ("0x", "hexadecimal constant has no digits"),
+    ("0xg", "hexadecimal constant has no digits"),
+    ("99999999999999999999999", "too large"),
+    ("18446744073709551616", "too large"),
+    ("0x10000000000000000", "too large"),
+    ("02000000000000000000000", "too large"),
+    # Past Python's 4,300-digit limit for int() of a string.
+    ("1" * 5001, "too large"),
+])
+def test_bad_integer_literal_is_a_lex_error(literal, message):
+    with pytest.raises(LexError) as caught:
+        tokenize(f"int x =\n   {literal};")
+    assert (caught.value.line, caught.value.col) == (2, 4)
+    assert message in caught.value.message
+
+
 def test_integer_suffixes_ignored():
     assert values("10u 10L 10UL") == [10, 10, 10]
 

@@ -109,6 +109,29 @@ class TestRun:
         assert main(["run", path], out, err) == EX_COMPILE
         assert "compile error" in err.getvalue()
 
+    @pytest.mark.parametrize("literal", ["09", "1" * 5001])
+    def test_bad_integer_literal_is_a_compile_error(self, tmp_path, capture,
+                                                    literal):
+        out, err = capture
+        path = write_program(tmp_path,
+                             f"int main(void) {{ return {literal}; }}")
+        assert main(["run", path], out, err) == EX_COMPILE
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("compile error: 1:25: ")
+
+    @pytest.mark.parametrize("command", ["run", "check", "profile"])
+    def test_source_that_is_not_utf8_is_a_compile_error(self, tmp_path,
+                                                        capture, command):
+        out, err = capture
+        data = b"int main(void) { return 0; } /* \xff */\n"
+        path = tmp_path / "latin.c"
+        path.write_bytes(data)
+        assert main([command, str(path)], out, err) == EX_COMPILE
+        (line,) = err.getvalue().splitlines()
+        assert line == (f"compile error: {path}: not UTF-8 at byte offset "
+                        f"{data.index(0xff)}")
+        assert out.getvalue() == ""
+
     def test_no_optimize_flag_still_runs(self, tmp_path, capture):
         out, err = capture
         path = write_program(tmp_path, SAFE_PROGRAM)

@@ -14,7 +14,12 @@ programs whose calls stress that plan:
   companions an untransformed caller never passed;
 * a protected recursion deep enough to trap ``STACK_OVERFLOW``;
 * calls whose pointer arguments are constants or global addresses,
-  beside a variadic callee (which keeps the generic frame push).
+  beside a variadic callee (which keeps the generic frame push);
+* libc routines called through function pointers, which no generated
+  op covers, so the compiled engine runs the interpreter's ``call``
+  handler for them: ``strcpy``, whose returned pointer carries its
+  bounds, and ``setjmp``/``longjmp``, which must record and resume the
+  call's own offset.
 
 A structural guard pins that protected call-heavy workloads push no
 frame through ``Machine._push_frame`` but the entry frame.
@@ -120,6 +125,55 @@ int main(void) {
 '''
 
 
+#: ``strcpy`` and ``strlen`` through function pointers; the pointer
+#: ``strcpy`` returns is read one byte past its 8-byte allocation.
+LIBC_POINTERS = r'''
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+int main(void) {
+    char *(*copy)(char *, char *) = strcpy;
+    long (*length)(char *) = strlen;
+    char *buf = malloc(8);
+    char *end = copy(buf, "abcdefg");
+    long n = length(end);
+    printf("%ld %c\n", n, end[n - 1]);
+    return (int)(n + end[n + 1]);
+}
+'''
+
+#: ``setjmp`` and ``longjmp`` through function pointers, jumping out of
+#: a 5-deep recursion.  The store before ``setjmp`` keeps the call off
+#: its frame's first offset, where a stale ``frame.index`` would hold
+#: the right value by chance.
+JUMP_POINTERS = r'''
+#include <stdio.h>
+#include <setjmp.h>
+jmp_buf env;
+int deepest;
+void (*jump)(long *, int) = longjmp;
+void down(int depth) {
+    deepest = depth;
+    if (depth == 5) jump(env, 7);
+    down(depth + 1);
+}
+int main(void) {
+    int (*save)(long *) = setjmp;
+    deepest = 0;
+    int got = save(env);
+    if (got) {
+        printf("back %d\n", got);
+        return got + deepest - 5;
+    }
+    down(1);
+    return 0;
+}
+'''
+
+#: Unprotected, protected, and observed (mudflap) machines.
+POINTER_PROFILES = ("none", "spatial", "full", "mudflap")
+
+
 def signatures(compiled):
     """The interpreter's and the compiled engine's result signatures."""
     return tuple(result_signature(compiled.run(engine=name))
@@ -182,6 +236,38 @@ def test_deep_recursion_overflows_identically(profile, thresholds):
 def test_constant_and_global_pointer_arguments(profile, thresholds):
     for hot_runs in thresholds():
         assert constant_args_agree(profile), hot_runs
+
+
+def pointer_signatures(source, profile):
+    """The interpreter's and the compiled engine's result signatures of
+    ``source`` under ``profile``, each machine with its own observers."""
+    profile = as_profile(profile)
+    compiled = compile_source(source, profile=profile)
+    return tuple(result_signature(compiled.run(
+        engine=name, observers=profile.make_observers()))
+        for name in ("interp", "compiled"))
+
+
+@pytest.mark.parametrize("profile", POINTER_PROFILES)
+def test_libc_through_function_pointers(profile, thresholds):
+    for hot_runs in thresholds():
+        interp, compiled = pointer_signatures(LIBC_POINTERS, profile)
+        assert interp == compiled, hot_runs
+    assert interp[1] == "7 g\n"
+    if profile in ("spatial", "full"):
+        # strcpy's result carries the bounds of its argument.
+        assert interp[2][0] is TrapKind.SPATIAL_VIOLATION
+        assert "outside [0x" in interp[2][1]
+    elif profile == "none":
+        assert (interp[0], interp[2]) == (7, None)
+
+
+@pytest.mark.parametrize("profile", POINTER_PROFILES)
+def test_setjmp_longjmp_through_function_pointers(profile, thresholds):
+    for hot_runs in thresholds():
+        interp, compiled = pointer_signatures(JUMP_POINTERS, profile)
+        assert interp == compiled, hot_runs
+    assert interp[:3] == (7, "back 7\n", None)
 
 
 def test_unresolved_symbol_argument_traps_first():

@@ -14,8 +14,9 @@ import re
 
 import pytest
 from test_budget_cuts import cuts_disagree  # sibling modules in tests/vm
-from test_call_convention import (CONFIGS, constant_args_agree, link_agrees,
-                                  recursion_agrees)
+from test_call_convention import (CONFIGS, JUMP_POINTERS, POINTER_PROFILES,
+                                  constant_args_agree, link_agrees,
+                                  pointer_signatures, recursion_agrees)
 from test_temporal_equivalence import assert_engines_agree as temporal_agree
 from test_warm_machines import (PROGRAM, budgets_agree, observed, profiled,
                                 warm, warm_agrees)
@@ -328,6 +329,55 @@ def test_stack_overflow_off_by_one_frame_is_caught(call_mutant):
                           "if base - frame_size < stack_base:", applied))
     assert not recursion_agrees("spatial")
     assert applied and all(applied)
+
+
+def fallback_op(shift):
+    """An ``engine._interpreted`` whose op sets ``frame.index`` ``shift``
+    offsets past its slot's own, or (None) leaves it as it was."""
+    def factory(M, slot):
+        eng, index = M["engine"], slot.nxt - 1
+
+        def op(frame, regs):
+            if shift is not None:
+                frame.index = index + shift
+            return engine._interpret(eng, slot, frame, regs)
+
+        return op
+
+    return factory
+
+
+def fallback_caught(profile):
+    """Whether the engines disagree on ``JUMP_POINTERS`` under
+    ``profile``.  Resuming at an offset inside a region calls its
+    ``None`` op-list entry, a ``TypeError``."""
+    try:
+        interp, compiled = pointer_signatures(JUMP_POINTERS, profile)
+    except TypeError:
+        return True
+    return interp != compiled
+
+
+@pytest.mark.parametrize("shift", (1, None), ids=("late", "stale"))
+def test_fallback_call_offset_mutants_are_caught(monkeypatch, shift):
+    # The op of a call no generated op covers resumes one offset late
+    # ("late"), or never sets frame.index, so setjmp through a pointer
+    # records whatever offset the frame last transferred at ("stale").
+    # Run against the whole tier-1 suite with each mutant built in, both
+    # were caught by tests/test_integration.py's kitchen-sink tests,
+    # test_interpreter.py's function-pointer table, the softbound
+    # function-pointer tests, the table renders, the observed profiles
+    # of test_every_profile_with_its_observers, and
+    # test_call_convention.py's constant-argument and setjmp/longjmp
+    # tests; by none of the engine, temporal or loop-opt equivalence
+    # suites or the budget cuts.
+    monkeypatch.setattr(engine, "_interpreted", fallback_op(shift))
+    assert all(fallback_caught(profile) for profile in POINTER_PROFILES)
+
+
+def test_fallback_control_agrees_unmutated(monkeypatch):
+    monkeypatch.setattr(engine, "_interpreted", fallback_op(0))
+    assert not any(fallback_caught(profile) for profile in POINTER_PROFILES)
 
 
 def stale_entries(monkeypatch, names):
