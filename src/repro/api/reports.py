@@ -120,9 +120,6 @@ class RunReport:
             row["obs"] = self.obs
         return row
 
-    def to_json_text(self, indent=2):
-        return json.dumps(self.to_json(), indent=indent, sort_keys=True)
-
 
 @dataclass
 class BatchReport:

@@ -134,11 +134,3 @@ class InlineFatPointerMetadata(MetadataFacility):
 
 def make_fatptr_facility(variant):
     return InlineFatPointerMetadata(tagged=(variant == "fatptr_wild"))
-
-
-def compile_with_fatptr(source, tagged, optimize=True):
-    """Compile a program under an inline-metadata (fat pointer) model."""
-    from ..api import compile_source
-
-    config = WILD_FATPTR_CONFIG if tagged else NAIVE_FATPTR_CONFIG
-    return compile_source(source, profile=config, optimize=optimize)

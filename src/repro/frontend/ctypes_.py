@@ -256,10 +256,6 @@ VOID_PTR = PointerType(VOID)
 CHAR_PTR = PointerType(CHAR)
 
 
-def pointer_to(ctype):
-    return PointerType(ctype)
-
-
 def common_arith_type(a, b):
     """Usual arithmetic conversions, simplified to our type lattice."""
     if a.is_float or b.is_float:

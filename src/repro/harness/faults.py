@@ -177,10 +177,3 @@ def bump_metric(amount=1, name="repro_test_bump_total"):
 
     default_registry().counter(name).inc(amount)
     return amount
-
-
-def write_pid(path):
-    """Report the worker's pid so a test can SIGKILL it externally."""
-    with open(path, "w") as handle:
-        handle.write(str(os.getpid()))
-    return os.getpid()

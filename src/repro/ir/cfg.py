@@ -105,9 +105,6 @@ class CFG:
 
     # -- queries ------------------------------------------------------------
 
-    def reachable_labels(self):
-        return set(self.succs)
-
     def dominates(self, a_label, b_label):
         """True when block ``a`` dominates block ``b`` (reflexive)."""
         if a_label == b_label:

@@ -255,16 +255,6 @@ class SbTemporalCheck(Instruction):
     access_kind: str = "load"
 
 
-@dataclass
-class SbMetaClear(Instruction):
-    """Clear metadata for a memory range (stack-frame teardown / free(),
-    paper Section 5.2 "Memory reuse and stale metadata")."""
-
-    opcode = "sb_meta_clear"
-    addr: Value = None
-    size: Value = None
-
-
 #: Opcodes that may write the disjoint metadata table: the explicit
 #: table instructions, aggregate copies (the runtime copies entries),
 #: and calls (the callee may store pointers or free).  Program loads
@@ -273,8 +263,7 @@ class SbMetaClear(Instruction):
 #: what lets checkelim deduplicate ``sb_meta_load``s across them.
 #: Inline-metadata baselines (fatptr) violate the premise and are
 #: excluded from those passes at the pipeline level.
-METADATA_TABLE_WRITERS = frozenset(
-    ["call", "memcopy", "sb_meta_store", "sb_meta_clear"])
+METADATA_TABLE_WRITERS = frozenset(["call", "memcopy", "sb_meta_store"])
 
 #: Opcodes that may *release a lock* (change temporal liveness): only
 #: calls — ``free`` is a call, and a frame teardown can only happen at

@@ -49,9 +49,6 @@ class Loop:
                     edges.append((label, succ.label))
         return edges
 
-    def exiting_blocks(self, cfg):
-        return sorted({src for src, _ in self.exit_edges(cfg)})
-
     def entering_preds(self, cfg):
         """Predecessor blocks of the header that sit outside the loop."""
         return [p for p in cfg.preds.get(self.header, [])
@@ -104,10 +101,6 @@ def find_loops(cfg):
         loop.depth = depth
     loops.sort(key=lambda l: (l.depth, l.header))
     return loops
-
-
-def innermost_loops(cfg):
-    return [loop for loop in find_loops(cfg) if loop.is_innermost]
 
 
 def make_preheader(func, cfg, loop, label_hint=None):

@@ -62,9 +62,6 @@ def format_instruction(instr):
         if instr.key is not None:
             vals += f", {format_value(instr.key)}, {format_value(instr.lock)}"
         return f"sb_meta_store {format_value(instr.addr)}, {vals}"
-    if o == "sb_meta_clear":
-        return (f"sb_meta_clear {format_value(instr.addr)}, "
-                f"{format_value(instr.size)}")
     return f"<{o}>"
 
 

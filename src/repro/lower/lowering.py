@@ -244,11 +244,6 @@ class Lowerer:
     def _set_block(self, block):
         self.block = block
 
-    def _branch_to(self, block):
-        if self.block.terminator is None:
-            self._emit(ins.Br(label=block.label))
-        self._set_block(block)
-
     # -- statements ----------------------------------------------------------
 
     def _lower_block(self, block):

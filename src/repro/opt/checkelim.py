@@ -24,10 +24,10 @@ with one extra obligation checks do not have: a metadata load reads the
 mutable disjoint table, so the dominating occurrence must be provably
 un-invalidated at the dominated one.  Cross-block dedup therefore
 applies only in functions containing **no** table-writing instructions
-at all (no call / memcopy / sb_meta_store / sb_meta_clear — the only
-writers, the table being disjoint from program memory); otherwise the
-dedup falls back to block-local scope with the availability table
-killed at every potential table write.  A deduplicated load is replaced
+at all (no call / memcopy / sb_meta_store — the only writers, the
+table being disjoint from program memory); otherwise the dedup falls
+back to block-local scope with the availability table killed at every
+potential table write.  A deduplicated load is replaced
 by two ``mov``s from the dominating load's companion registers (which
 the cost model prices at zero, matching register renaming).
 

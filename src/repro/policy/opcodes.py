@@ -100,5 +100,3 @@ register_opcode_traits(OpcodeTraits(opcode="sb_temporal_check"))
 register_opcode_traits(OpcodeTraits(opcode="sb_meta_load"))
 register_opcode_traits(OpcodeTraits(
     opcode="sb_meta_store", writes_metadata_table=True))
-register_opcode_traits(OpcodeTraits(
-    opcode="sb_meta_clear", writes_metadata_table=True))

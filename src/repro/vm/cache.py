@@ -191,12 +191,6 @@ class CacheReport:
             l2_meta=hierarchy.l2.counters("meta"),
         )
 
-    @property
-    def l1_overall_miss_rate(self):
-        accesses = self.l1_prog.accesses + self.l1_meta.accesses
-        misses = self.l1_prog.misses + self.l1_meta.misses
-        return misses / accesses if accesses else 0.0
-
 
 class CacheObserver(Observer):
     """VM observer feeding program *and* metadata accesses into a cache.

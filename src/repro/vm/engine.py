@@ -21,29 +21,29 @@ applied per *region* rather than per instruction:
   flat op offsets; a value an earlier instruction of the region
   computed is read from that instruction's local, and every register
   write still reaches the register file;
-* ``call`` and ``ret`` (frame transfer) are one op each.  A direct call
-  to a non-variadic module function, protected or not, is one generated
-  op: its *call plan* says which caller register, constant or zero each
-  callee register gets (named parameters, the SoftBound companions, the
-  metadata the call site appends).  The plan is the interpreter's own
-  convention (``Machine._split_call_metadata``, then
+* ``call`` and ``ret`` (frame transfer) are one-instruction slots,
+  generated from their templates like any region.  A direct call to a
+  non-variadic module function, protected or not, follows its *call
+  plan*: which caller register, constant or zero each callee register
+  gets (named parameters, the SoftBound companions, the metadata the
+  call site appends).  The plan is the interpreter's own convention
+  (``Machine._split_call_metadata``, then
   :func:`~repro.vm.machine.param_bindings`) applied once per call site
   to argument positions; the op binds the callee's registers as one
   dict display, packs the saved FP and return address straight into
-  the stack segment and acquires the frame's temporal lock itself, and
-  call shapes are cached with the region shapes.  A direct call to a
-  libc routine is generated the same way: ``Libc.call``'s split of the
-  arguments from their metadata is applied once per call site to
-  argument positions, and the op calls the routine's handler with the
-  two lists.  Every other call — indirect, to a variadic callee, on an
-  observed machine, with an argument naming an unresolved symbol
-  (whose evaluation must trap), or to a routine libc lacks — runs the
-  interpreter's own ``call`` handler, ``Machine._exec_call``, the way
-  an interp-only opcode runs (:func:`_interpreted`).  ``ret`` is
-  generated too, with inlined reads of the returned value and
-  metadata; on an unobserved machine it tears the frame down inline:
-  it clears the metadata of the function's pointer-bearing slots (its
-  frame layout's ``pointer_slots``) and releases the frame's lock;
+  the stack segment and acquires the frame's temporal lock itself.  A
+  direct call to a libc routine applies ``Libc.call``'s split of the
+  arguments from their metadata once per call site the same way, and
+  calls the routine's handler with the two lists.  Every other call —
+  indirect, to a variadic callee, on an observed machine, with an
+  argument naming an unresolved symbol (whose evaluation must trap),
+  or to a routine libc lacks — runs the interpreter's own ``call``
+  handler, ``Machine._exec_call``, the way an interp-only opcode runs
+  (:func:`_interpreted`).  ``ret`` reads the returned value and
+  metadata inline; on an unobserved machine it tears the frame down
+  inline: it clears the metadata of the function's pointer-bearing
+  slots (its frame layout's ``pointer_slots``) and releases the
+  frame's lock;
 * an opcode a checker policy registers with only an interpreter
   handler is a one-instruction slot that always runs through that
   handler (:func:`_interpret`) and is never compiled;
@@ -53,14 +53,16 @@ applied per *region* rather than per instruction:
 
 **Templates.**  Each opcode's semantics is written once, in
 :data:`TEMPLATES`: the body of its part of a region as source text.
-``$name`` is an operand hole (the instruction attribute of that name) or
-a code literal the opcode's binder supplies (``$expr``).  A line
-prefixed ``?flag`` is kept only when the flag is set (``?!flag``: only
-when clear); a line prefixed ``=`` is pure: when every operand of the
-instruction is a constant, the pure lines run once at specialization
-time instead (constant folding); a line prefixed ``+`` is a counter
-increment ``st.FIELD += AMOUNT`` that the region batches (below).  An
-operand hole renders as an inlined register read (``regs[r_a_0]``;
+``$name`` is an operand hole (the instruction attribute of that name,
+or an operand the binder names) or a code literal the binder supplies
+as a string flag (``$expr``; a literal of several lines keeps the
+indentation of the line it stands in).  A line prefixed ``?flag`` is
+kept only when the flag is set (``?!flag``: only when clear); a line
+prefixed ``=`` is pure: when every operand of the instruction is a
+constant, the pure lines run once at specialization time instead
+(constant folding); a line prefixed ``+`` is a counter increment
+``st.FIELD += AMOUNT`` that the region batches (below).  An operand
+hole renders as an inlined register read (``regs[r_a_0]``;
 adjacent reads share one ``try`` whose ``except KeyError`` repeats them
 with ``regs.get(r_a_0, 0)``), a bound constant, a trapping accessor for
 an unresolved symbol, or the local an earlier instruction of the region
@@ -72,7 +74,8 @@ template binds or assigns gets the instruction's position as a suffix
 **Counters and the budget.**  A region op tests the instruction budget
 once, ``st.instructions + len(region) <= limit``, and writes the count
 back at entry.  The ``+`` lines are removed from the body and their sums
-added once, as constants, before the region returns.  When the budget
+added once, as constants, before the region returns (so ``ret`` and the
+libc call, which return early, count with plain lines).  When the budget
 test fails the region runs through the interpreter's handlers one
 instruction at a time (:func:`_interpret`), so ``RESOURCE_LIMIT`` traps
 at the same instruction; when an exception leaves the region part way,
@@ -83,19 +86,20 @@ a region calls (memory, observers, the metadata facility) reads those
 counters mid-run, which is what makes the batching invisible.
 
 **Shapes.**  A binder per opcode turns an instruction on a machine into
-``(template, flags, bound values)``.  The templates, flags, operand
-kinds and batched amounts of a region's instructions form its *shape*;
-:func:`_generate` turns a shape into a closure factory with ``exec``
-(the way :mod:`dataclasses` and ``namedtuple`` build their methods).
-Shapes are cached per process in ``_SHAPES``, an LRU bounded to
-:data:`SHAPE_CACHE_ENTRIES`, and keep no copy of their source: a lazy
-:mod:`linecache` entry regenerates it when a traceback asks.  A factory
-reads the values that belong to one machine (its stats, budget, slow
-path, memory and segment handles, runtime, facility, lock table,
-site-profile counts, stack data: the names of :data:`_MACHINE`) from
-the machine's values ``M`` and takes every other bound value as a
-parameter; specializing a region is then one factory call with ``M``
-and the bound values.
+``(template, flags, bound values)``, and may name the operands of holes
+that are not attributes of the instruction.  The templates, flags,
+operand kinds and batched amounts of a region's instructions form its
+*shape*; :func:`_generate` turns a shape into a closure factory with
+``exec`` (the way :mod:`dataclasses` and ``namedtuple`` build their
+methods).  Shapes are cached per process in ``_SHAPES``, an LRU
+bounded to :data:`SHAPE_CACHE_ENTRIES`, and keep no copy of their
+source: a lazy :mod:`linecache` entry regenerates it when a traceback
+asks.  A factory reads the values that belong to one machine (its
+stats, budget, slow path, memory and segment handles, runtime,
+facility, lock table, site-profile counts, stack data: the names of
+:data:`_MACHINE`) from the machine's values ``M`` and takes every other
+bound value as a parameter; specializing a region is then one factory
+call with ``M`` and the bound values.
 
 **Profiling is a flag.**  The check-site counter is one ``?profile``
 line at the start of each profiled template (the same program point the
@@ -131,7 +135,7 @@ Semantics are bit-identical to the reference interpreter — execution
 order, trap kinds/addresses/messages and every
 :class:`~repro.vm.costs.CostStats` counter, which
 ``tests/vm/test_engine_equivalence.py`` pins over the full workload,
-attack and bug corpora and ``tests/vm/test_budget_cuts.py`` at every
+attack, bug and server corpora and ``tests/vm/test_budget_cuts.py`` at every
 instruction budget of several windows.
 """
 
@@ -174,7 +178,7 @@ from .machine import (
 HOT_RUNS = 4
 
 #: Bound on the per-process shape cache.  One pass over the corpus
-#: workload (15 programs x 5 compile cells) generates 463 shapes,
+#: workload (15 programs x 5 compile cells) generates 501 shapes,
 #: so the bound holds a whole pass; past it the least recently used
 #: shape is dropped and regenerated if it is needed again.
 SHAPE_CACHE_ENTRIES = 1024
@@ -421,7 +425,7 @@ class _Region:
 
 
 def _function_template(function):
-    versions = tuple(getattr(block, "version", 0) for block in function.blocks)
+    versions = tuple(block.version for block in function.blocks)
     cached = getattr(function, "_engine_template", None)
     if cached is not None and cached[0] == versions:
         return cached[1]
@@ -468,10 +472,7 @@ def _function_template(function):
         if block.terminator is None:
             layout[base + len(instrs)] = _Region((), block, offsets, None,
                                                  _sentinel_entry)
-    try:
-        function._engine_template = (versions, layout)
-    except AttributeError:
-        pass  # exotic function objects without attribute support
+    function._engine_template = (versions, layout)
     return layout
 
 
@@ -648,10 +649,123 @@ facility.store(addr, base, bound, st)
 ?temporal facility.store_temporal(addr, key, lock, st)
 + st.metadata_stores += 1
 """,
-    "sb_meta_clear": """\
-addr = $addr
-size = $size
-facility.clear_range(addr, size, st)
+    # A direct call to a non-variadic module function on an unobserved
+    # machine (``$plan``: the callee's register file as the entries of
+    # a dict display over the site's call plan): the interpreter's
+    # ``_exec_call`` and ``Machine._push_frame``, in their order — call
+    # counters, the signature check, the stack-overflow test, the saved
+    # FP and return address packed into the stack segment, the frame's
+    # temporal lock.
+    "call": """\
+st.calls += 1
+st.cost += call_cost
+new_regs = {$plan}
+?sig check_signature(instr, target)
+base = machine.sp - frame_size
+if base < stack_base:
+    raise Trap(TrapKind.STACK_OVERFLOW, target_name)
+fp = base + fp_off
+off = fp - stack_base
+pack_u64(stack_data, off, frame.fp & _M64)
+pack_u64(stack_data, off + 8, site)
+new_frame = new_frame_of(Frame)
+?lock key, slot = acquire(st)
+?lock new_regs[frame_key] = key
+?lock new_regs[frame_lock] = slot
+?lock new_frame.lock_slot = slot
+?!lock new_frame.lock_slot = 0
+new_frame.function = target
+new_frame.regs = new_regs
+new_frame.base = base
+new_frame.size = frame_size
+new_frame.fp = fp
+new_frame.expected_ret = site
+new_frame.alloca_ctypes = allocas
+new_frame.va_spill = 0
+new_frame.va_bytes = 0
+new_frame.va_ptr_count = 0
+new_frame.va_metas = _EMPTY_VA_METAS
+new_frame.dst_reg = dst
+new_frame.dst_meta = dst_meta
+new_frame.caller_site = frame
+new_frame.block = entry_block
+new_frame.index = 0
+machine.sp = base
+frames.append(new_frame)
+frame.index = nxt
+return -1
+""",
+    # A direct call to a routine libc defines (``$args`` and ``$metas``:
+    # the routine's arguments and their metadata by the site's plan):
+    # the interpreter's ``_exec_call`` into ``Libc.call``.  After a
+    # ``longjmp`` the op returns early, so it counts with plain lines.
+    "libc_call": """\
+st.calls += 1
+st.cost += call_cost
+args = [$args]
+metas = $metas
+frame.block = cur_block
+frame.index = index
+machine._control_transferred = False
+result = handler(args, metas, instr)
+if machine._control_transferred:
+    return -1
+?dst _store_result(regs, dst, dst_meta, result)
+return nxt
+""",
+    # The interpreter's ``_exec_ret`` (``$reads`` reads the returned
+    # metadata, ``$meta`` writes it to the caller's registers): the
+    # returned operands, the saved FP and return address read back from
+    # simulated memory (the attack surface the Wilander suite
+    # exercises: a corrupted saved FP can point anywhere, so outside the
+    # stack segment the interpreter's trapping ``Memory.read_ptr``
+    # runs), then frame teardown.  An observed machine takes the
+    # generic pop (``on_stack_free``, then the runtime's teardown);
+    # otherwise it is inline: pop, clear the metadata of the function's
+    # pointer-bearing slots (its frame layout's, as
+    # ``SoftBoundRuntime.on_frame_teardown`` does), release the frame's
+    # temporal lock, restore sp.  The op returns early when the last
+    # frame returns, so it counts with a plain line.
+    "ret": """\
+st.cost += _COST_RET
+?returns value = $value
+?!returns value = None
+$reads
+fp = frame.fp
+if stack_base <= fp and fp + 16 <= stack_end:
+    off = fp - stack_base
+    saved_fp = unpack_u64(stack_data, off)[0]
+    ret_addr = unpack_u64(stack_data, off + 8)[0]
+else:
+    saved_fp = read_ptr(fp)
+    ret_addr = read_ptr(fp + 8)
+if ret_addr != frame.expected_ret:
+    target = addr_to_function.get(ret_addr, "")
+    kind = TrapKind.CONTROL_FLOW_HIJACK if target else TrapKind.WILD_JUMP
+    raise Trap(kind, "return address overwritten",
+               address=ret_addr, target_symbol=target)
+?pop pop_frame()
+?!pop frames.pop()
+?slots base = frame.base
+?slots for off, size in pointer_slots:
+?slots     clear_range(base + off, size, st)
+?release if frame.lock_slot:
+?release     release(frame.lock_slot, st)
+?!pop machine.sp = frame.base + frame.size
+engine._ret_value = value
+engine._returned = True
+if not frames:
+    return -1
+caller = frames[-1]
+if saved_fp != caller.fp:
+    caller.fp = saved_fp
+?returns dst_reg = frame.dst_reg
+?returns if dst_reg is not None and value is not None:
+?returns     caller.regs[dst_reg.uid] = value
+dst_meta = frame.dst_meta
+if dst_meta is not None:
+    $meta
+return -1
 """,
 }
 
@@ -684,9 +798,11 @@ _MACHINE = {name: f'M["{name}"]' for name in (
 _MACHINE.update(slow='partial(_interpret, M["engine"], region)',
                 read='_reader(M["memory"], size{sfx})',
                 write='_writer(M["memory"], size{sfx})',
-                handler='M["libc"].handler(target_name)')
+                handler='M["libc"].handler(target_name{sfx})')
 
 _HOLE = re.compile(r"int\(\$(\w+)\)|\$(\w+)")
+#: A ``$name`` that stands for a code literal when ``name`` is a string flag.
+_LITERAL = re.compile(r"\$(\w+)")
 #: Names a template line assigns (``a = ``, ``base, bound = ``, ``for x in``).
 _ASSIGNED = re.compile(r"\s*(?:for )?(\w+(?:, \w+)*) (?:[-+]?= |in )")
 #: A string literal (left alone, but for the names in an f-string's
@@ -727,15 +843,18 @@ def clear_shapes():
 
 
 class _Text:
-    """A template with its guards resolved and its ``$expr`` substituted:
-    ``lines`` as ``(mark, line)`` (mark ``=`` pure, ``+`` batched
-    counter, else ``""``), its operand ``holes`` as ``(hole, read
-    through int())``, the names its lines assign, and the amount of each
-    batched counter line: a number, or the name of a bound value."""
+    """A template with its guards resolved and its code literals (the
+    string flags) substituted: ``lines`` as ``(mark, line)`` (mark ``=``
+    pure, ``+`` batched counter, else ``""``), its operand ``holes`` as
+    ``(hole, read through int())``, the names its lines assign, and the
+    amount of each batched counter line: a number, or the name of a
+    bound value."""
 
     __slots__ = ("lines", "holes", "assigned", "amounts", "machine")
 
     def __init__(self, name, flags):
+        literals = {flag: value for flag, value in flags.items()
+                    if isinstance(value, str)}
         self.lines = []
         for line in TEMPLATES[name].splitlines():
             mark = ""
@@ -745,9 +864,11 @@ class _Text:
                     mark, head = head[0], head[1:]
                 if head and bool(flags[head.lstrip("?!")]) == head.startswith("?!"):
                     continue
-            if "$expr" in line:
-                line = line.replace("$expr", flags["expr"])
-            self.lines.append((mark, line))
+            newline = "\n" + _indent(line)
+            line = _LITERAL.sub(lambda m: literals.get(m.group(1), m.group())
+                                .replace("\n", newline), line)
+            self.lines += [(mark, part) for part in line.split("\n")
+                           if part.strip()]
         holes = {}  # hole -> whether any use reads it through int()
         assigned = set()
         amounts = []
@@ -885,7 +1006,9 @@ def _source(key, names):
         body[-1:-1] = write_back
     elif not (body and body[-1].startswith("raise ")):
         body += write_back + ["return nxt"]
-    prelude[:0] = _machine_lines(machine)
+    # The factory reads each machine name the op uses from ``M``.
+    prelude[:0] = [f"{name}{sfx} = " + _MACHINE[name].replace("{sfx}", sfx)
+                   for name, sfx in sorted(machine)]
     used = set(re.findall(r"\w+", "\n".join(prelude + body)))
     params = sorted(name for name in candidates if name in used)
     head = ([f"def factory({', '.join(['M', 'repair'] + params)}):"]
@@ -905,33 +1028,17 @@ def _source(key, names):
     return source, params, tuple(marks), len(head) + 1
 
 
-def _machine_lines(names):
-    """The factory lines that read machine names, given as ``(name,
-    instruction suffix)`` pairs, from the machine's values ``M``."""
-    return [f"{name}{sfx} = " + _MACHINE[name].replace("{sfx}", sfx)
-            for name, sfx in sorted(names)]
-
-
 def _generate(key, names):
-    """Build the closure factory of one region shape."""
+    """Build the closure factory of one shape.  Its source is not kept:
+    a lazy :mod:`linecache` entry regenerates it when a traceback asks,
+    and goes when the shape is evicted."""
     source, params, marks, first = _source(key, names)
-    return (_exec_shape(source, partial(_shape_text, _source, key, names)),
-            params, partial(_repair, marks, first, len(key)))
-
-
-def _exec_shape(source, lazy_source):
-    """Execute a shape's factory source.  The source is not kept: the
-    lazy :mod:`linecache` entry ``lazy_source`` regenerates it when a
-    traceback asks, and goes when the shape is evicted."""
     filename = f"{_FILE_PREFIX}{next(_SERIAL)}"
     namespace = {}
     exec(compile(source, filename, "exec"), globals(), namespace)
-    linecache.cache[filename] = (lazy_source,)
-    return namespace["factory"]
-
-
-def _shape_text(source_of, key, names):
-    return source_of(key, names)[0]
+    linecache.cache[filename] = (lambda: _source(key, names)[0],)
+    return (namespace["factory"], params,
+            partial(_repair, marks, first, len(key)))
 
 
 def _repair(marks, first, size, st, exc):
@@ -968,21 +1075,32 @@ def _bind_region(region, engine, function):
 
 
 def _region_entry(region, engine, function):
-    """Bind each instruction of ``region``, look up (or generate) the
-    region's shape, and return its factory with the bound values it
-    takes after the machine's values."""
+    """The entry of a straight-line region: each instruction bound by
+    its opcode's binder (:data:`_BINDERS`)."""
+    return _entry(region, engine, [
+        _BINDERS[instr.opcode](engine, function, instr, region.offsets,
+                               region.block)
+        for instr in region.instrs])
+
+
+def _entry(region, engine, bindings):
+    """Look up (or generate) the shape of ``region`` from its
+    instructions' ``bindings`` (what their binders return, see below)
+    and return its factory with the bound values it takes after the
+    machine's values."""
     bound = {"nxt": region.nxt, "region": region}
     forwards = {}  # register uid -> the local holding its value
     key, names = [], []
-    for k, instr in enumerate(region.instrs):
-        name, flags, values = _BINDERS[instr.opcode](
-            engine, function, instr, region.offsets, region.block)
+    for k, (instr, (name, flags, values, *named)) in enumerate(
+            zip(region.instrs, bindings)):
+        operands = named[0] if named else {}
         text_key = (name, tuple(flags.items()))
         text = _text(text_key)
         sfx = f"_{k}"
-        kinds = tuple([_bind_operand(bound, hole + sfx, getattr(instr, hole),
-                                     forwards, engine, as_int)
-                       for hole, as_int in text.holes])
+        kinds = tuple([_bind_operand(
+            bound, hole + sfx,
+            operands[hole] if hole in operands else getattr(instr, hole),
+            forwards, engine, as_int) for hole, as_int in text.holes])
         batched = tuple([values[amount] if isinstance(amount, str) else amount
                          for amount in text.amounts])
         for value_name, value in values.items():
@@ -1038,10 +1156,12 @@ def _unresolved(name, regs):
 
 # ---------------------------------------------------------------------------
 # Binders: ``(engine, function, instr, offsets, block) -> (template, flags,
-# bound values)``.  Flags select template lines (and supply the ``$expr``
-# literal); the bound values must cover every name the selected lines
-# use but the machine names (:data:`_MACHINE`), and be the same on every
-# machine of the engine's signature.
+# bound values)``.  Flags select template lines (and supply the code
+# literals, such as ``$expr``); the bound values must cover every name
+# the selected lines use but the machine names (:data:`_MACHINE`), and
+# be the same on every machine of the engine's signature.  A fourth
+# element, when present, maps each hole that is not an attribute of the
+# instruction to its operand (the call and ret binders below).
 # ---------------------------------------------------------------------------
 
 
@@ -1258,10 +1378,6 @@ def _bind_sb_meta_store(engine, function, instr, *_):
     return "sb_meta_store", {"temporal": instr.key is not None}, {}
 
 
-def _bind_sb_meta_clear(engine, function, instr, *_):
-    return "sb_meta_clear", {}, {}
-
-
 _BINDERS = {
     "alloca": _bind_alloca,
     "mov": _bind_mov,
@@ -1279,131 +1395,16 @@ _BINDERS = {
     "sb_temporal_check": _bind_sb_temporal_check,
     "sb_meta_load": _bind_sb_meta_load,
     "sb_meta_store": _bind_sb_meta_store,
-    "sb_meta_clear": _bind_sb_meta_clear,
 }
 
 
+
+
 # ---------------------------------------------------------------------------
-# Frame transfer: ret and call, whose slots keep their specializations
-# on the program as regions do (:func:`_bind_region`).
+# Frame transfer: the entries of ret and call slots, each generated as a
+# one-instruction region (:func:`_entry`) unless a call is one only the
+# interpreter's handler covers.
 # ---------------------------------------------------------------------------
-
-
-def _expand(template, flags, blocks):
-    """The op body of a frame-transfer template: a ``?flag`` line is
-    kept only when the flag is set (``?!flag``: only when clear), and a
-    ``$name`` line is replaced by the lines ``blocks[name]``."""
-    body = []
-    for line in template.splitlines():
-        if line.startswith("?"):
-            head, _, line = line.partition(" ")
-            if bool(flags[head.lstrip("?!")]) == head.startswith("?!"):
-                continue
-        body.extend(blocks[line[1:]] if line.startswith("$") else [line])
-    return body
-
-
-def _guarded(lines):
-    """``lines`` with their inlined register reads in one ``try`` whose
-    ``except KeyError`` repeats them with ``regs.get(r_..., 0)``."""
-    fallback = [re.sub(r"regs\[(r_\w+)\]", r"regs.get(\1, 0)", line)
-                for line in lines]
-    if fallback == lines:
-        return lines
-    return (["try:"] + ["    " + line for line in lines]
-            + ["except KeyError:"] + ["    " + line for line in fallback])
-
-
-def _op_source(body, names):
-    """The source of a frame-transfer shape's closure factory, whose op
-    runs ``body``.  The factory takes the machine's values ``M``, then
-    the names of ``names`` (those a binding of the shape binds) that
-    the body uses, in the returned order."""
-    words = {m.group() for line in body for m in _WORD.finditer(line)}
-    prelude = _machine_lines((name, "") for name in words & _MACHINE.keys())
-    params = sorted(names & set(re.findall(r"\w+", "\n".join(prelude + body))))
-    source = "\n".join(
-        [f"def factory({', '.join(['M'] + params)}):"]
-        + ["    " + line for line in prelude] + ["    def op(frame, regs):"]
-        + ["        " + line for line in body] + ["    return op", ""])
-    return source, params
-
-
-def _shape_entry(key, source_of, bound):
-    """Look up (or generate with ``source_of``) the frame-transfer shape
-    ``key`` and return its factory with the values of ``bound`` it
-    takes after the machine's values."""
-    shape = _SHAPES.get(key)
-    if shape is None:
-        names = frozenset(bound)
-        source, params = source_of(key, names)
-        shape = _SHAPES.put(key, (
-            _exec_shape(source, partial(_shape_text, source_of, key, names)),
-            params))
-    factory, params = shape
-    return factory, tuple([bound[name] for name in params])
-
-
-#: The line reading an operand bound under a name into the local of
-#: that name, by its kind (see :func:`_bind_operand`).
-_READS = {"r": "{0} = regs[r_{0}]", "c": "{0} = c_{0}", "a": "{0} = a_{0}(regs)"}
-
-
-#: The ret op's body (``$reads`` reads the returned value and metadata,
-#: ``$meta`` writes the metadata to the caller's registers): the
-#: interpreter's ``_exec_ret`` — count and budget, the returned
-#: operands, the saved FP and return address read back from simulated
-#: memory (the attack surface the Wilander suite exercises: a corrupted
-#: saved FP can point anywhere, so outside the stack segment the
-#: interpreter's trapping ``Memory.read_ptr`` runs), then frame
-#: teardown.  An observed machine takes the generic pop
-#: (``on_stack_free``, then the runtime's teardown); otherwise it is
-#: inline: pop, clear the metadata of the function's pointer-bearing
-#: slots (its frame layout's, as ``SoftBoundRuntime.on_frame_teardown``
-#: does), release the frame's temporal lock, restore sp.
-_RET = """\
-n = st.instructions + 1
-st.instructions = n
-if n > limit:
-    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-st.cost += _COST_RET
-$reads
-fp = frame.fp
-if stack_base <= fp and fp + 16 <= stack_end:
-    off = fp - stack_base
-    saved_fp = unpack_u64(stack_data, off)[0]
-    ret_addr = unpack_u64(stack_data, off + 8)[0]
-else:
-    saved_fp = read_ptr(fp)
-    ret_addr = read_ptr(fp + 8)
-if ret_addr != frame.expected_ret:
-    target = addr_to_function.get(ret_addr, "")
-    kind = TrapKind.CONTROL_FLOW_HIJACK if target else TrapKind.WILD_JUMP
-    raise Trap(kind, "return address overwritten",
-               address=ret_addr, target_symbol=target)
-?pop pop_frame()
-?!pop frames.pop()
-?slots base = frame.base
-?slots for off, size in pointer_slots:
-?slots     clear_range(base + off, size, st)
-?release if frame.lock_slot:
-?release     release(frame.lock_slot, st)
-?!pop machine.sp = frame.base + frame.size
-engine._ret_value = value
-engine._returned = True
-if not frames:
-    return -1
-caller = frames[-1]
-if saved_fp != caller.fp:
-    caller.fp = saved_fp
-?value dst_reg = frame.dst_reg
-?value if dst_reg is not None and value is not None:
-?value     caller.regs[dst_reg.uid] = value
-dst_meta = frame.dst_meta
-if dst_meta is not None:
-$meta
-return -1
-"""
 
 
 def _ret_entry(slot, engine, function):
@@ -1416,52 +1417,33 @@ def _ret_entry(slot, engine, function):
     slots = ()
     if runtime is not None and not observed:
         slots = _frame_layout(function).pointer_slots
-    bound = {"pointer_slots": slots, "stack_base": stack.base,
-             "stack_end": stack.end,
-             "unpack_u64": _SCALAR_CODECS[(8, False)].unpack_from}
-    meta = getattr(instr, "sb_meta", None)
-    operands = [] if instr.value is None else [("value", instr.value)]
-    operands += [(f"meta_{k}", v) for k, v in enumerate(meta or ())]
-    kinds = tuple([_bind_operand(bound, name, operand, {}, engine, False)
-                   for name, operand in operands])
-    flags = (("value", instr.value is not None), ("pop", observed),
-             ("slots", bool(slots)),
-             ("release", runtime is not None and runtime.temporal
-              and not observed))
-    return _shape_entry(("ret", kinds, len(meta or ()), flags),
-                        _ret_source, bound)
-
-
-def _ret_source(key, names):
-    """The source of one ret shape's closure factory, ``key`` being
-    ``("ret", operand kinds, metadata count, flags)``: the kind of the
-    returned value (when the flags say there is one), then of each
-    returned metadata value."""
-    _, kinds, metas, flags = key
-    flags = dict(flags)
-    targets = (["value"] if flags["value"] else []) + [
-        f"meta_{k}" for k in range(metas)]
-    reads = _guarded([_READS[kind].format(target)
-                      for target, kind in zip(targets, kinds)])
-    if not flags["value"]:
-        reads.insert(0, "value = None")
-    values = "".join(f"meta_{k}, " for k in range(metas))
+    metas = getattr(instr, "sb_meta", None) or ()
+    names = [f"meta_{k}" for k in range(len(metas))]
     if metas:
-        meta = (["    cregs = caller.regs", f"    if len(dst_meta) == {metas}:"]
-                + [f"        cregs[dst_meta[{k}].uid] = meta_{k}"
-                   for k in range(metas)]
-                + ["    else:", f"        _write_meta(cregs, dst_meta, ({values}))"])
+        meta = (["cregs = caller.regs", f"if len(dst_meta) == {len(metas)}:"]
+                + [f"    cregs[dst_meta[{k}].uid] = {name}"
+                   for k, name in enumerate(names)]
+                + ["else:", "    _write_meta(cregs, dst_meta, (%s))"
+                   % "".join(name + ", " for name in names)])
     else:
-        meta = ["    _write_meta(caller.regs, dst_meta, ())"]
-    return _op_source(_expand(_RET, flags, {"reads": reads, "meta": meta}),
-                      names)
+        meta = ["_write_meta(caller.regs, dst_meta, ())"]
+    flags = {
+        "reads": "\n".join(f"{name} = ${name}" for name in names),
+        "meta": "\n".join(meta), "returns": instr.value is not None,
+        "pop": observed, "slots": bool(slots),
+        "release": runtime is not None and runtime.temporal and not observed}
+    return _entry(slot, engine, [("ret", flags, {
+        "pointer_slots": slots, "stack_base": stack.base,
+        "stack_end": stack.end,
+        "unpack_u64": _SCALAR_CODECS[(8, False)].unpack_from,
+    }, dict(zip(names, metas)))])
 
 
 def _call_entry(slot, engine, function):
     """Specialize a call for machines of ``engine``'s signature: a
     direct call to a non-variadic module function on an unobserved
-    machine is the generated call op, a direct call to a libc routine
-    the generated builtin op, when no argument names an unresolved
+    machine is the ``call`` template, a direct call to a libc routine
+    the ``libc_call`` template, when no argument names an unresolved
     symbol; any other call runs the interpreter's ``call`` handler
     (:func:`_interpreted`)."""
     instr = slot.instrs[0]
@@ -1483,18 +1465,14 @@ def _call_entry(slot, engine, function):
         return _interpreted, (slot,)
     if target is not None and not target.varargs and not engine.observers:
         site = machine._site_id(machine._call_site_key(function, instr))
-        return _bind_call(engine, instr, target,
-                          _call_plan(instr, target, arity), site, slot.nxt,
-                          call_cost)
+        return _entry(slot, engine, [_bind_call(
+            engine, instr, target, _call_plan(instr, target, arity), site,
+            call_cost)])
     if target is None and hasattr(Libc, "_do_" + target_name):
-        return _bind_builtin(engine, instr, target_name, arity, slot.block,
-                             slot.nxt - 1, call_cost)
+        return _entry(slot, engine, [_bind_builtin(
+            engine, instr, target_name, arity, slot.block, slot.nxt - 1,
+            call_cost)])
     return _interpreted, (slot,)
-
-
-# ---------------------------------------------------------------------------
-# The specialized direct calls: one generated op per call plan shape.
-# ---------------------------------------------------------------------------
 
 
 def _call_plan(instr, target, arity):
@@ -1512,107 +1490,39 @@ def _call_plan(instr, target, arity):
                                 2 if arity is None else arity, zero=None))
 
 
-#: The specialized call op's body (``$bind`` is the callee's register
-#: file as a dict display over the call plan): the interpreter's
-#: ``_exec_call`` and ``Machine._push_frame`` for a non-variadic module
-#: function on an unobserved machine, in their order — count and
-#: budget, call counters, the signature check, the stack-overflow test,
-#: the saved FP and return address packed into the stack segment, the
-#: frame's temporal lock.
-_CALL = """\
-n = st.instructions + 1
-st.instructions = n
-if n > limit:
-    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-st.calls += 1
-st.cost += call_cost
-$bind
-?sig check_signature(instr, target)
-base = machine.sp - frame_size
-if base < stack_base:
-    raise Trap(TrapKind.STACK_OVERFLOW, target_name)
-fp = base + fp_off
-off = fp - stack_base
-pack_u64(stack_data, off, frame.fp & _M64)
-pack_u64(stack_data, off + 8, site)
-new_frame = new_frame_of(Frame)
-?lock key, slot = acquire(st)
-?lock new_regs[frame_key] = key
-?lock new_regs[frame_lock] = slot
-?lock new_frame.lock_slot = slot
-?!lock new_frame.lock_slot = 0
-new_frame.function = target
-new_frame.regs = new_regs
-new_frame.base = base
-new_frame.size = frame_size
-new_frame.fp = fp
-new_frame.expected_ret = site
-new_frame.alloca_ctypes = allocas
-new_frame.va_spill = 0
-new_frame.va_bytes = 0
-new_frame.va_ptr_count = 0
-new_frame.va_metas = _EMPTY_VA_METAS
-new_frame.dst_reg = dst
-new_frame.dst_meta = dst_meta
-new_frame.caller_site = frame
-new_frame.block = entry_block
-new_frame.index = 0
-machine.sp = base
-frames.append(new_frame)
-frame.index = nxt
-return -1
-"""
-
-
-def _call_source(key, names):
-    """The source of one call shape's closure factory, ``key`` being
-    ``("call", source kinds, flags)``: one kind per plan entry, ``r``
-    (the caller's register ``r_K``) or ``c`` (the constant ``c_K``),
-    bound to the callee register ``u_K``; ``names`` are the names a
-    binding of the shape binds.  Returns the source and the names the
-    factory takes after the machine's values, in order."""
-    _, kinds, flags = key
-    entries = [f"u_{k}: regs[r_{k}]" if kind == "r" else f"u_{k}: c_{k}"
-               for k, kind in enumerate(kinds)]
-    bind = _guarded(["new_regs = {%s}" % ", ".join(entries)])
-    return _op_source(_expand(_CALL, dict(flags), {"bind": bind}), names)
-
-
-def _bind_call(engine, instr, target, plan, site, nxt, call_cost):
-    """Specialize a direct call to the non-variadic module function
-    ``target`` for machines of ``engine``'s signature (no observers,
-    every argument resolvable): bind the plan's sources — a caller
-    register, an argument's constant or resolved symbol address, or
-    zero — and the frame constants."""
+def _bind_call(engine, instr, target, plan, site, call_cost):
+    """Bind a direct call to the non-variadic module function ``target``
+    (no observers, every argument resolvable): the plan's sources — a
+    caller register, an argument's constant or resolved symbol address,
+    or zero — as the holes ``$p0``, ``$p1``, ... and the frame
+    constants."""
     runtime = engine.machine.sb_runtime
     layout = _frame_layout(target)
     frame_meta = getattr(target, "sb_frame_meta", None)
     lock = (runtime is not None and runtime.temporal
             and frame_meta is not None)
-    bound = {
+    values = {
         "call_cost": call_cost, "target": target, "target_name": target.name,
         "frame_size": layout.va_offset, "fp_off": layout.fp_offset,
         "allocas": layout.allocas, "stack_base": engine.memory.stack.base,
         "pack_u64": _SCALAR_CODECS[(8, False)].pack_into, "site": site,
-        "nxt": nxt, "dst": instr.dst,
-        "dst_meta": getattr(instr, "sb_dst_meta", None),
+        "dst": instr.dst, "dst_meta": getattr(instr, "sb_dst_meta", None),
         "entry_block": target.entry, "new_frame_of": Frame.__new__,
         "instr": instr,
     }
     if lock:
-        bound.update(frame_key=frame_meta[0].uid, frame_lock=frame_meta[1].uid)
-    kinds = []
+        values.update(frame_key=frame_meta[0].uid, frame_lock=frame_meta[1].uid)
+    operands = {}
     for k, (uid, pos) in enumerate(plan):
-        bound[f"u_{k}"] = uid
-        kinds.append(_bind_operand(
-            bound, str(k), _ZERO if pos is None else instr.args[pos], {},
-            engine, False))
+        values[f"u{k}"] = uid
+        operands[f"p{k}"] = _ZERO if pos is None else instr.args[pos]
     # The dynamic signature check (paper Section 5.2) runs
     # ``Machine._check_call_signature`` when both sides carry one.
     has_sig = (getattr(instr, "sb_call_signature", None) is not None
                and getattr(target, "sb_signature", None) is not None)
-    key = ("call", tuple(kinds), (("sig", has_sig), ("lock", lock)))
-    return _shape_entry(key, _call_source, bound)
+    return "call", {
+        "plan": ", ".join(f"u{k}: $p{k}" for k in range(len(plan))),
+        "sig": has_sig, "lock": lock}, values, operands
 
 
 def _builtin_plan(instr, arity):
@@ -1630,60 +1540,20 @@ def _builtin_plan(instr, arity):
     return tuple(positions), tuple(metas)
 
 
-#: The builtin call op's body (``$args`` builds the routine's arguments
-#: and their metadata from the site's plan): the interpreter's
-#: ``_exec_call`` into ``Libc.call`` for a routine libc defines.
-_BUILTIN = """\
-n = st.instructions + 1
-st.instructions = n
-if n > limit:
-    raise Trap(TrapKind.RESOURCE_LIMIT, _RESOURCE_MSG)
-st.calls += 1
-st.cost += call_cost
-$args
-frame.block = cur_block
-frame.index = index
-machine._control_transferred = False
-result = handler(args, metas, instr)
-if machine._control_transferred:
-    return -1
-?dst _store_result(regs, dst, dst_meta, result)
-return nxt
-"""
-
-
-def _builtin_source(key, names):
-    """The source of one builtin call shape's closure factory, ``key``
-    being ``("builtin", argument kinds, argument positions, metadata
-    positions, flags)`` (see :func:`_builtin_plan`)."""
-    _, kinds, positions, metas, flags = key
-
-    def arg(k):
-        return f"regs[r_{k}]" if kinds[k] == "r" else f"c_{k}"
-
-    lines = ["args = [%s]" % ", ".join(map(arg, positions))]
-    if metas is None:
-        lines.append("metas = None")
-    else:
-        lines.append("metas = [%s]" % ", ".join(
-            "None" if group is None
-            else "(%s)" % "".join(arg(k) + ", " for k in group)
-            for group in metas))
-    return _op_source(_expand(_BUILTIN, dict(flags), {"args": _guarded(lines)}),
-                      names)
-
-
 def _bind_builtin(engine, instr, target_name, arity, cur_block, index,
                   call_cost):
-    """Specialize a direct call to the libc routine ``target_name``
-    (every argument resolvable) for machines of ``engine``'s
-    signature."""
+    """Bind a direct call to the libc routine ``target_name`` (every
+    argument resolvable): argument ``k`` is the hole ``$ak``."""
     positions, metas = _builtin_plan(instr, arity)
-    bound = {"call_cost": call_cost, "cur_block": cur_block, "index": index,
-             "nxt": index + 1, "dst": instr.dst,
-             "dst_meta": getattr(instr, "sb_dst_meta", None), "instr": instr,
-             "target_name": target_name}
-    kinds = tuple([_bind_operand(bound, str(k), operand, {}, engine, False)
-                   for k, operand in enumerate(instr.args)])
-    key = ("builtin", kinds, positions, metas, (("dst", instr.dst is not None),))
-    return _shape_entry(key, _builtin_source, bound)
+    if metas is not None:
+        metas = "[%s]" % ", ".join(
+            "None" if group is None
+            else "(%s)" % "".join(f"$a{k}, " for k in group)
+            for group in metas)
+    return "libc_call", {
+        "args": ", ".join(f"$a{k}" for k in positions),
+        "metas": metas or "None", "dst": instr.dst is not None,
+    }, {"call_cost": call_cost, "cur_block": cur_block, "index": index,
+        "dst": instr.dst, "dst_meta": getattr(instr, "sb_dst_meta", None),
+        "instr": instr, "target_name": target_name,
+        }, {f"a{k}": operand for k, operand in enumerate(instr.args)}

@@ -921,11 +921,6 @@ class Machine:
 
             raise temporal_violation(instr.access_kind, ptr, key, lock)
 
-    def _exec_sb_meta_clear(self, frame, instr):
-        addr = self._value(frame, instr.addr)
-        size = self._value(frame, instr.size)
-        self.sb_runtime.facility.clear_range(addr, size, self.stats)
-
     # -- services used by libc -----------------------------------------------------
 
     def notify_load(self, addr, size):
@@ -1085,7 +1080,6 @@ for _opcode, _handler in (
     ("sb_temporal_check", Machine._exec_sb_temporal_check),
     ("sb_meta_load", Machine._exec_sb_meta_load),
     ("sb_meta_store", Machine._exec_sb_meta_store),
-    ("sb_meta_clear", Machine._exec_sb_meta_clear),
 ):
     register_opcode(_opcode, interp=_handler)
 del _opcode, _handler

@@ -198,7 +198,3 @@ int main(void) {
 
 def all_temporal_attacks():
     return list(TEMPORAL_ATTACKS.values())
-
-
-def temporal_attack(name):
-    return TEMPORAL_ATTACKS[name]

@@ -268,7 +268,6 @@ class TestOpcodeTraits:
         assert not traits_of("sb_temporal_check").widenable
         assert not traits_of("sb_meta_load").writes_metadata_table
         assert traits_of("sb_meta_store").writes_metadata_table
-        assert traits_of("sb_meta_clear").writes_metadata_table
 
     def test_traits_carry_only_what_the_passes_read(self):
         from dataclasses import fields

@@ -20,6 +20,7 @@ from repro.workloads.attacks import all_attacks
 from repro.workloads.bugbench import all_bugs
 from repro.workloads.corpus import all_patterns
 from repro.workloads.programs import WORKLOADS
+from repro.workloads.servers import all_servers
 
 FULL_SHADOW = SoftBoundConfig()
 FULL_HASH = SoftBoundConfig(scheme=MetadataScheme.HASH_TABLE)
@@ -100,6 +101,17 @@ def test_bug_corpus(pattern, thresholds):
         assert_engines_agree(pattern.source, input_data=input_data)
         assert_engines_agree(pattern.source, softbound=FULL_SHADOW,
                              input_data=input_data)
+
+
+@pytest.mark.parametrize("server", all_servers(), ids=lambda s: s.name)
+def test_servers(server, thresholds):
+    # The paper's Section 6.4 servers: tinyftp dispatches each command
+    # through a function-pointer table and uses the result, so a call
+    # no generated op covers must resume where the interpreter does.
+    for _ in thresholds():
+        assert_engines_agree(server.source, input_data=server.request_stream)
+        assert_engines_agree(server.source, softbound=FULL_SHADOW,
+                             input_data=server.request_stream)
 
 
 def test_return_address_tokens_identical_across_engines():

@@ -256,13 +256,15 @@ def test_budget_mutants_are_caught(region_mutant, correct, mutant):
 def call_mutant(fresh_shapes, monkeypatch):
     """Install a rewrite of every specialized call op's source."""
     def install(rewrite):
-        source_of = engine._call_source
+        source_of = engine._source
 
-        def mutated(*shape):
-            source, params = source_of(*shape)
-            return rewrite(source), params
+        def mutated(key, names):
+            source, *rest = source_of(key, names)
+            if key[0][0][0] == "call":
+                source = rewrite(source)
+            return (source, *rest)
 
-        monkeypatch.setattr(engine, "_call_source", mutated)
+        monkeypatch.setattr(engine, "_source", mutated)
         engine.clear_shapes()
 
     return install
@@ -300,8 +302,8 @@ def test_unacquired_frame_lock_is_caught(call_mutant):
     # The specialized push leaves the frame's (key, lock) registers 0:
     # every pointer into the frame fails its temporal check.
     applied = []
-    call_mutant(replacing("key, slot = acquire(st)", "key, slot = 0, 0",
-                          applied))
+    call_mutant(replacing("key_0, slot_0 = acquire_0(st)",
+                          "key_0, slot_0 = 0, 0", applied))
     assert not recursion_agrees("full")
     with pytest.raises(AssertionError):
         temporal_agree(TEMPORAL_ATTACKS["dangling_stack"].source,
@@ -325,8 +327,9 @@ def test_uncleared_pointer_slot_is_caught(fresh_shapes, monkeypatch):
 def test_stack_overflow_off_by_one_frame_is_caught(call_mutant):
     # The specialized overflow test traps one frame early.
     applied = []
-    call_mutant(replacing("if base < stack_base:",
-                          "if base - frame_size < stack_base:", applied))
+    call_mutant(replacing("if base_0 < stack_base_0:",
+                          "if base_0 - frame_size_0 < stack_base_0:",
+                          applied))
     assert not recursion_agrees("spatial")
     assert applied and all(applied)
 
@@ -369,8 +372,8 @@ def test_fallback_call_offset_mutants_are_caught(monkeypatch, shift):
     # function-pointer tests, the table renders, the observed profiles
     # of test_every_profile_with_its_observers, and
     # test_call_convention.py's constant-argument and setjmp/longjmp
-    # tests; by none of the engine, temporal or loop-opt equivalence
-    # suites or the budget cuts.
+    # tests, and test_engine_equivalence.py's tinyftp server; by none of
+    # the temporal or loop-opt equivalence suites or the budget cuts.
     monkeypatch.setattr(engine, "_interpreted", fallback_op(shift))
     assert all(fallback_caught(profile) for profile in POINTER_PROFILES)
 
@@ -496,6 +499,27 @@ def test_shape_cache_stays_bounded(fresh_shapes, monkeypatch):
     sources = [name for name in linecache.cache
                if name.startswith(engine._FILE_PREFIX)]
     assert len(sources) == len(engine._SHAPES)
+
+
+def test_every_generated_op_has_the_region_header(fresh_shapes,
+                                                  monkeypatch):
+    # Call, ret and libc-call ops are generated like regions: one budget
+    # test whose slow path is the interpreter, and a counter repair
+    # when an exception leaves the op.
+    import linecache
+
+    from repro.api.profiles import as_profile
+
+    monkeypatch.setattr(engine, "HOT_RUNS", 1)
+    compile_source(WORKLOADS["treeadd"].source,
+                   profile=as_profile("full")).run()
+    templates = set()
+    for key, shape in engine._SHAPES._entries.items():
+        source = "".join(linecache.getlines(shape[0].__code__.co_filename))
+        assert "return slow(frame, regs)" in source, key
+        assert "repair(st, exc)" in source, key
+        templates.update(text_key[0] for text_key, _, _ in key)
+    assert {"call", "ret", "libc_call"} <= templates
 
 
 def test_unresolved_symbol_traps_identically():
