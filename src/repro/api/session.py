@@ -21,6 +21,7 @@ import time
 import warnings
 from dataclasses import dataclass, replace
 
+from ..harness import faults
 from ..store.format import compute_key, dumps_program
 from ..store.locks import FileLock
 from .env import resolve_env, resolve_store
@@ -42,7 +43,7 @@ def open_store(store_dir=None, **kwargs):
     """Open the persistent artifact store the environment selects
     (``store_dir`` flag > ``REPRO_STORE``), or return ``None`` when no
     store is configured.  Extra kwargs reach
-    :class:`repro.store.ArtifactStore` (bounds, lock timeout)."""
+    :class:`repro.store.ArtifactStore` (its bounds)."""
     resolved = resolve_store(store_dir)
     if resolved is None:
         return None
@@ -263,12 +264,11 @@ class Session:
 
     def _compile_cold(self, source, profile, optimize, verify):
         """A verified store hit skips the toolchain; a miss compiles
-        under the key's *flight lock* (distinct from the entry lock the
-        store's ``save`` takes) and re-checks the store once it holds
-        it, so of N processes racing one cold key exactly one compiles
-        and the rest load its bytes.  A process that cannot get the
-        lock within :data:`COALESCE_WAIT_SECONDS` compiles anyway:
-        liveness beats dedup."""
+        under the key's *flight lock* and re-checks the store once it
+        holds it, so of N processes racing one cold key exactly one
+        compiles and the rest load its bytes.  A process that cannot
+        get the lock within :data:`COALESCE_WAIT_SECONDS` compiles
+        anyway: liveness beats dedup."""
         toolchain = Toolchain(profile=profile, optimize=optimize,
                               verify=verify)
         store = self.store
@@ -282,12 +282,26 @@ class Session:
                                        "flight." + key[:32] + ".lock"),
                           timeout=COALESCE_WAIT_SECONDS)
         with flight as acquired:
-            if acquired and os.path.exists(store.entry_path(key)):
-                compiled = store.load(source, profile, optimize)
-                if compiled is not None:
-                    return compiled, "store"
-            compiled = toolchain.compile(source)
-            store.save(source, profile, optimize, compiled)
+            try:
+                if acquired and os.path.exists(store.entry_path(key)):
+                    compiled = store.load(source, profile, optimize)
+                    if compiled is not None:
+                        return compiled, "store"
+                compiled = toolchain.compile(source)
+                faults.maybe_die("locked")
+                store.save(source, profile, optimize, compiled)
+            finally:
+                # The holder removes the lock file, after the save and
+                # while it still holds the lock.  A process that later
+                # takes the lock, on this file or on a new one, checks
+                # for the entry first, so it loads the saved bytes and
+                # compiles only if the save failed.  The worst race is
+                # one extra compile, never a wrong program.
+                if acquired:
+                    try:
+                        os.remove(flight.path)
+                    except OSError:
+                        pass
         return compiled, "compile"
 
     def fingerprint(self, compiled, source, profile=None, optimize=None):

@@ -389,7 +389,6 @@ def _list_profiles(stdout, as_json=False):
                 "meta_arity": policy.meta_arity,
                 "detects": sorted(policy.detects),
                 "capabilities": {
-                    "dedupable": policy.dedupable,
                     "widenable": policy.widenable,
                     "provable": getattr(policy, "provable", False),
                 },

@@ -202,5 +202,5 @@ def _cmd_corpus(args, stdout, stderr):
                      f"[{case.get('policy')}] "
                      f"{case.get('original_lines')}->"
                      f"{case.get('minimized_lines')} lines — "
-                     f"{case.get('detail', '')[:80]}\n")
+                     f"{str(case.get('detail', ''))[:80]}\n")
     return EX_OK

@@ -15,7 +15,9 @@ Layout of a corpus directory::
 seeds are skipped, the in-flight seed is re-run.  The checkpoint is
 written with ``tmpfile + os.replace`` — a reader never observes a
 half-written file — and an unreadable checkpoint (disk torn some other
-way) degrades to an empty corpus instead of wedging the campaign.
+way, or a document of the wrong shape) degrades to an empty corpus
+instead of wedging the campaign.  A ``case.json`` that is unreadable or
+not an object is listed as an ``unreadable case.json`` stub.
 """
 
 import hashlib
@@ -63,11 +65,20 @@ class Corpus:
         try:
             with open(self.checkpoint_path) as handle:
                 document = json.load(handle)
+            if not isinstance(document, dict):
+                raise ValueError(f"checkpoint is a {type(document).__name__}")
             if document.get("schema") != SCHEMA:
                 raise ValueError(f"unknown schema {document.get('schema')!r}")
-            self.judged = dict(document.get("judged", {}))
-            self.meta = dict(document.get("meta", {}))
-        except (OSError, ValueError, KeyError) as error:
+            judged = document.get("judged", {})
+            meta = document.get("meta", {})
+            if not (isinstance(judged, dict) and isinstance(meta, dict)
+                    and all(isinstance(record, dict)
+                            for record in judged.values())):
+                raise ValueError("judged, meta and every judged record "
+                                 "must be objects")
+            self.judged = judged
+            self.meta = meta
+        except (OSError, ValueError, RecursionError) as error:
             # A torn/foreign checkpoint must not wedge the campaign.
             self.judged = {}
             self.meta = {"recovered_from": f"{type(error).__name__}: {error}"}
@@ -159,20 +170,25 @@ class Corpus:
             return
         for name in sorted(os.listdir(self.findings_dir)):
             case_path = os.path.join(self.findings_dir, name, "case.json")
-            if os.path.exists(case_path):
-                try:
-                    with open(case_path) as handle:
-                        yield json.load(handle)
-                except (OSError, ValueError):
-                    yield {"id": name, "error": "unreadable case.json"}
+            if not os.path.exists(case_path):
+                continue
+            try:
+                with open(case_path) as handle:
+                    case = json.load(handle)
+            except (OSError, ValueError, RecursionError):
+                case = None
+            yield (case if isinstance(case, dict)
+                   else {"id": name, "error": "unreadable case.json"})
 
     # -- reporting -----------------------------------------------------
 
     def summary(self):
         counts = {"clean": 0, "discrepancy": 0, "infra": 0}
         for entry in self.judged.values():
-            counts[entry.get("verdict", "infra")] = \
-                counts.get(entry.get("verdict", "infra"), 0) + 1
+            verdict = entry.get("verdict")
+            if not isinstance(verdict, str):
+                verdict = "infra"
+            counts[verdict] = counts.get(verdict, 0) + 1
         counts["judged"] = len(self.judged)
         counts["findings"] = sum(1 for _ in self.iter_findings())
         return counts

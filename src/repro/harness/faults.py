@@ -9,8 +9,8 @@ artifact store (PR 7):
   killed out from under the pool, a flake that heals on retry.
 
 * **In-process fault points** — a small armed-fault registry the
-  artifact store consults at its failure-prone moments (payload write,
-  file open, atomic replace, lock held).  Tests arm faults with
+  artifact store and the cold compile consult at their failure-prone
+  moments (payload write, file open, atomic replace, flight lock held).  Tests arm faults with
   :func:`install`; subprocess drills arm them through the
   ``REPRO_STORE_FAULTS`` environment variable (``"torn_write:1,eperm:2"``
   — fault name ``:`` trigger count, count defaulting to 1).  Each armed
@@ -38,7 +38,7 @@ FAULT_NAMES = (
     "eperm",           # EPERM when opening the entry for writing
     "disk_full",       # ENOSPC while writing the entry
     "sigkill_replace", # SIGKILL between tmp write and atomic replace
-    "sigkill_locked",  # SIGKILL while holding the entry lock
+    "sigkill_locked",  # SIGKILL while holding the flight lock
 )
 
 _armed = {}   # fault name -> remaining trigger count
@@ -126,8 +126,9 @@ def check_write_open():
 
 def maybe_die(point):
     """SIGKILL this process at ``point`` (``"replace"`` — between the
-    tmp write and the atomic rename; ``"locked"`` — while holding the
-    entry lock) when the matching fault is armed."""
+    tmp write and the atomic rename; ``"locked"`` — holding a cold
+    key's flight lock, between compile and save) when the matching
+    fault is armed."""
     if consume(f"sigkill_{point}"):
         os.kill(os.getpid(), signal.SIGKILL)
 

@@ -16,8 +16,8 @@ argument).  Pass order matters: copy propagation and CSE canonicalize
 the operand webs the check passes key on; constant folding and DCE run
 last to clean up what widening exposed.
 
-Which passes apply is the checker policy's call: the post pipeline
-queries the policy's ``dedupable``/``widenable`` capability flags
+Whether check widening applies is the checker policy's call: the post
+pipeline queries the policy's ``widenable`` capability flag
 (:mod:`repro.policy`) instead of matching variant names.  The built-in
 declarations preserve the historical behaviour — check widening only
 for the ``softbound`` variant proper; the baseline variants keep the
@@ -66,19 +66,18 @@ def _publish(stats, phase):
 
 
 def _capabilities(config):
-    """``(dedupable, widenable)`` for this build — the checker policy's
-    optimizer capability flags (queried through the policy registry
-    instead of pattern-matching variant names), with widening gated by
-    the config's own ``loop_optimize`` ablation switch."""
+    """Whether this build may widen checks — the checker policy's
+    ``widenable`` flag (queried through the policy registry instead of
+    pattern-matching variant names), gated by the config's own
+    ``loop_optimize`` ablation switch."""
     if config is None:
         # Uninstrumented builds carry no checks; the check passes are
         # no-ops but harmless (historical behaviour: they run).
-        return True, True
+        return True
     from ..policy import policy_for_config
 
     policy = policy_for_config(config)
-    loop_ok = getattr(config, "loop_optimize", True)
-    return policy.dedupable, policy.widenable and loop_ok
+    return policy.widenable and getattr(config, "loop_optimize", True)
 
 
 def optimize_module(module, verify=True):
@@ -114,16 +113,15 @@ def optimize_after_instrumentation(module, verify=True, config=None,
     ``module.prove_certificates`` (not in the stats — the stats fields
     feed metric counters)."""
     stats = PassStats()
-    dedupable, widenable = _capabilities(config)
+    widenable = _capabilities(config)
     certificates = []
     for func in module.functions.values():
         stats.propagated_copies += copyprop.run(func, module)
         stats.cse_replaced += cse.run(func, module)
-        if dedupable:
-            removed, deduped, removed_temporal = checkelim.run(func, module)
-            stats.removed_checks += removed
-            stats.deduped_meta_loads += deduped
-            stats.removed_temporal_checks += removed_temporal
+        removed, deduped, removed_temporal = checkelim.run(func, module)
+        stats.removed_checks += removed
+        stats.deduped_meta_loads += deduped
+        stats.removed_temporal_checks += removed_temporal
         if prove is not None:
             from ..prove import passes as prove_passes
 

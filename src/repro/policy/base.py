@@ -28,11 +28,10 @@ this system, so a new checker is a *plugin* rather than core surgery:
 * **Costs** — ``cost_model`` is merged into
   :data:`repro.vm.costs.OP_COSTS` at registration
   (:func:`repro.vm.costs.register_costs`).
-* **Optimizer capabilities** — ``dedupable`` / ``widenable`` /
-  ``provable``: whether the post-instrumentation pipeline may run
-  redundant-check elimination, guarded check widening, and (at ``-O2``)
-  solver-backed static check *deletion* over code this policy
-  instrumented.  The pipeline queries these instead of
+* **Optimizer capabilities** — ``widenable`` / ``provable``: whether
+  the post-instrumentation pipeline may run guarded check widening and
+  (at ``-O2``) solver-backed static check *deletion* over code this
+  policy instrumented (redundant-check elimination always runs).  The pipeline queries these instead of
   pattern-matching variant names.  ``provable`` is opt-in: it asserts
   the policy's check semantics are exactly the ``(base, bound)`` /
   ``(key, lock)`` contract the prove subsystem (:mod:`repro.prove`)
@@ -74,7 +73,6 @@ class CheckerPolicy:
     meta_arity = 2
 
     # -- optimizer capabilities ----------------------------------------
-    dedupable = True
     widenable = False
     #: Whether -O2 solver-backed static check elimination is sound for
     #: this policy.  Off by default: a proof is only as good as the

@@ -38,7 +38,6 @@ class MsccPolicy(CheckerPolicy):
     family = "baseline"
     config = MSCC_CONFIG
     meta_arity = 2
-    dedupable = True
     widenable = False
     # provable audit: NOT provable — MSCC omits sub-object bounds, so
     # its trap condition is coarser than the interval contract the
@@ -64,7 +63,6 @@ class FatptrNaivePolicy(CheckerPolicy):
     family = "baseline"
     config = NAIVE_FATPTR_CONFIG
     meta_arity = 2
-    dedupable = True
     widenable = False
     # provable audit: NOT provable — inline metadata is clobberable by
     # program stores, so the companion (base, bound) the analyzer

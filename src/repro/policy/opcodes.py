@@ -24,9 +24,9 @@ This module is the open replacement.  Every check-like opcode declares
 
 Redundant-check elimination and the ``-O2`` prove pass
 (:mod:`repro.prove`) select the checks they may delete by opcode name
-and IR class, and whether they run at all is the policy's call
-(:class:`repro.policy.base.CheckerPolicy`'s ``dedupable`` and
-``provable``), so they read no trait here.
+and IR class, and whether the prove pass runs is the policy's call
+(:class:`repro.policy.base.CheckerPolicy`'s ``provable``), so they read
+no trait here.
 
 The core SoftBound opcodes are registered here (they are the reference
 instances of the protocol); policies register additional opcodes via

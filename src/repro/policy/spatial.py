@@ -4,7 +4,7 @@ Four registered points — {Complete, Stores} × {ShadowSpace, HashTable}
 — plus the unprotected ``none`` policy.  These are the reference
 implementations of the :class:`~repro.policy.base.CheckerPolicy`
 protocol: transform-based, disjoint metadata, full optimizer
-capabilities (their checks dedupe and widen).
+capabilities (their checks widen).
 """
 
 from ..softbound.config import (
@@ -41,7 +41,6 @@ class SpatialPolicy(CheckerPolicy):
     family = "softbound"
     config = FULL_SHADOW
     meta_arity = 2
-    dedupable = True
     widenable = True
     # provable audit: sb_check traps iff ptr < base or ptr+size > bound,
     # which is exactly the interval contract the prove solver models,

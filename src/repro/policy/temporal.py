@@ -26,7 +26,6 @@ class TemporalPolicy(CheckerPolicy):
     family = "softbound"
     config = TEMPORAL_SHADOW
     meta_arity = 4
-    dedupable = True
     widenable = True
     # provable audit: spatial checks as in SpatialPolicy; temporal
     # checks are only ever deleted under the immortal-lock rule

@@ -4,11 +4,12 @@ A versioned, content-addressed on-disk cache for
 :class:`~repro.api.toolchain.CompiledProgram`, built so that compiled
 and instrumented programs survive process restarts, concurrent writers
 and dirty crashes without ever serving a corrupted artifact: entries
-are self-verifying (:mod:`repro.store.format`), writes are atomic and
-advisory-locked with timeout → degrade (:mod:`repro.store.locks`), the
-LRU bookkeeping checkpoints atomically and rebuilds from a scan when
-torn, and every detected corruption quarantines + recompiles instead
-of crashing (:mod:`repro.store.store`).
+are self-verifying (:mod:`repro.store.format`), writes are atomic,
+the ``objects/`` directory is the only record (an entry's size is its
+file size, its recency its mtime), every detected corruption
+quarantines + recompiles instead of crashing
+(:mod:`repro.store.store`), and a cold key compiles once under a
+flight lock (:mod:`repro.store.locks`).
 
 Wired in via ``Session(store_dir=...)`` / the ``REPRO_STORE``
 environment variable, and operated with ``python -m repro cache

@@ -4,7 +4,7 @@ Subcommands::
 
     cache stats    contents, bounds and counters of a store directory
     cache verify   re-validate every entry; quarantine corrupt ones
-    cache gc       sweep tmp orphans, re-sync the index, enforce bounds
+    cache gc       sweep tmp and lock orphans, enforce bounds
 
 Exit status is deterministic: 0 on success, 1 when ``verify`` found (and
 quarantined) corrupt entries, 64 for usage errors (no store directory).
@@ -50,8 +50,8 @@ def add_cache_parser(sub):
                              "framing checks only)")
 
     gc = csub.add_parser(
-        "gc", help="sweep stale tmp files, re-sync the index with the "
-                   "filesystem and enforce the size bounds")
+        "gc", help="sweep stale tmp and lock files and enforce the size "
+                   "bounds")
     common(gc)
     gc.add_argument("--max-bytes", type=int, default=None, metavar="N",
                     help="evict LRU entries past this total size "
@@ -98,9 +98,6 @@ def _cmd_stats(store, args, stdout):
         f"(bounds: {report['max_entries']} entries / "
         f"{report['max_bytes']:,} bytes), "
         f"{report['quarantined']} quarantined\n")
-    if report["recovered_index"]:
-        stdout.write("  index was rebuilt from a directory scan "
-                     "(torn checkpoint recovered)\n")
     counters = report["counters"]
     stdout.write("  counters: " + ", ".join(
         f"{name} {value}" for name, value in counters.items()) + "\n")
@@ -132,10 +129,8 @@ def _cmd_gc(store, args, stdout):
                                 indent=2, sort_keys=True) + "\n")
         return EX_OK
     stdout.write(
-        f"gc: swept {report['tmp_swept']} tmp file(s), adopted "
-        f"{report['adopted']} unindexed entr"
-        f"{'y' if report['adopted'] == 1 else 'ies'}, dropped "
-        f"{report['dropped']} stale record(s), evicted "
+        f"gc: swept {report['tmp_swept']} tmp file(s) and "
+        f"{report['locks_swept']} lock file(s), evicted "
         f"{report['evicted']} entr"
         f"{'y' if report['evicted'] == 1 else 'ies'}"
         + (f", deleted {report['corrupt_swept']} quarantined"

@@ -133,7 +133,7 @@ def decode_entry(blob, expected_key=None, expected_key_text=None):
                                f"({header_end} > {len(blob)})")
     try:
         header = json.loads(blob[header_start:header_end].decode())
-    except (ValueError, UnicodeDecodeError) as error:
+    except (ValueError, RecursionError) as error:
         raise StoreFormatError("header", f"unreadable header: {error}") \
             from None
     if not isinstance(header, dict):

@@ -1,19 +1,20 @@
-"""Advisory file locking with a timeout → degrade contract.
+"""The single-flight compile lock.
 
-The store serializes writers with POSIX ``fcntl.flock`` advisory locks:
-per-entry locks so two processes compiling the same key don't redo each
-other's index bookkeeping, and one index lock guarding the LRU
-checkpoint.  Locks are *advisory by design* — a reader never takes one
-(atomic ``os.replace`` plus payload digests make reads safe lock-free),
-and a writer that cannot acquire one within its timeout **degrades**
-(skips the disk write, keeps the in-process result) instead of hanging.
+``Session._compile_cold`` holds ``locks/flight.<key>.lock`` across the
+compile of a cold key, so of N processes racing one key exactly one
+compiles and the rest load its bytes.  The lock is a POSIX
+``fcntl.flock`` advisory lock: the store itself takes none (atomic
+``os.replace`` plus payload digests make reads and writes safe
+lock-free), so the flight lock guards only duplicate work.  A process
+that cannot acquire it within its timeout compiles anyway: liveness
+beats dedup.
 
-``flock`` locks die with their holder, so a lock-holder SIGKILL'd
-mid-write releases the lock automatically — the chaos drill pins that.
-On platforms without ``fcntl`` the lock is a no-op that always
-"acquires": single-process correctness is unaffected and the store
-still never corrupts (writes stay atomic), only cross-process LRU
-bookkeeping loses its serialization.
+``flock`` locks die with their holder, so a holder SIGKILL'd
+mid-compile releases the lock automatically — the chaos drill pins
+that.  The holder removes the lock file once its entry is saved; ``gc``
+sweeps the files of holders that died.  On platforms without ``fcntl``
+the lock is a no-op that always "acquires": every racer compiles, and
+the store still never corrupts.
 """
 
 import os
@@ -30,8 +31,9 @@ class FileLock:
 
     ``acquire`` polls ``flock(LOCK_EX | LOCK_NB)`` until ``timeout``
     elapses and returns whether the lock was obtained — it never raises
-    on contention and never blocks past the deadline.  The ``with``
-    form exposes the outcome as the context value::
+    (a lock file that cannot be opened is a lock not obtained) and
+    never blocks past the deadline.  The ``with`` form exposes the
+    outcome as the context value::
 
         with FileLock(path, timeout=2.0) as acquired:
             if acquired: ...   # serialized
@@ -44,14 +46,13 @@ class FileLock:
         self.poll_interval = poll_interval
         self._handle = None
 
-    @property
-    def held(self):
-        return self._handle is not None
-
     def acquire(self):
         if self._handle is not None:
             return True
-        handle = open(self.path, "a+b")
+        try:
+            handle = open(self.path, "a+b")
+        except OSError:
+            return False
         if fcntl is None:
             self._handle = handle
             return True

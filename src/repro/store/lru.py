@@ -1,10 +1,9 @@
 """A small counting LRU map.
 
-Used twice with one policy: :class:`repro.api.Session` bounds its
-in-process compiled-program cache with it, and the disk store's index
-uses the same recency discipline (there keyed by a persistent logical
-clock, since file metadata must survive restarts).  Counters are public
-so both layers surface hit/miss/eviction numbers side by side.
+:class:`repro.api.Session` bounds its in-process compiled-program
+cache with it; the disk store keeps the same recency discipline with
+file mtimes, since its record must survive restarts.  Counters are
+public so both layers surface hit/miss/eviction numbers side by side.
 """
 
 from collections import OrderedDict

@@ -2,10 +2,14 @@
 
 Layout of a store directory::
 
-    index.json               LRU/size bookkeeping (atomically replaced)
     objects/<key>.rpa        one self-verifying entry per cache key
     corrupt/<name>           quarantined entries awaiting autopsy
-    locks/<...>.lock         advisory lock files (per entry + index)
+    locks/flight.<...>.lock  single-flight compile locks (see
+                             :mod:`repro.store.locks`)
+
+``objects/`` is the store's only record: an entry's size is its file
+size and its recency its mtime, which every landed put and every hit
+stamp.  A leftover ``index.json`` from an older layout is ignored.
 
 Robustness contract, in order of importance:
 
@@ -15,24 +19,23 @@ Robustness contract, in order of importance:
 2. **Never tear an entry.**  Writes go tmp file → ``fsync`` → atomic
    ``os.replace``; a crash at any instant leaves either the old state
    or the new state, plus at most one orphan tmp file ``gc`` sweeps.
-3. **Never hang, never wedge.**  Writers take advisory ``flock`` locks
-   with a timeout; on contention past the deadline they *degrade* —
-   skip the disk write, keep the in-process result, count it — rather
-   than block.  Readers take no locks at all.
-4. **The index is bookkeeping, not truth.**  ``get`` goes straight to
-   the object file, so a lost index update (crash between object write
-   and checkpoint, or a degraded writer) costs recency accuracy, never
-   correctness; a torn/foreign ``index.json`` degrades to a
-   rebuild-from-scan.
+3. **Never hang, never raise.**  The store takes no locks.  A write
+   that fails degrades — skip the disk write, keep the in-process
+   result, count it — and a failed mtime stamp (a read-only store)
+   costs only recency.
+4. **Bounds are enforced from one directory scan.**  A landed put and
+   ``gc`` remove the oldest entries past the bounds; two processes
+   evicting at once may briefly take the store below its bound.
 
 Fault points for the chaos drills (:mod:`repro.harness.faults`) are
 compiled in: payload mangling (torn write / bit flip), injected
-EPERM/ENOSPC on open, and SIGKILL at the two nastiest instants (holding
-the entry lock; between tmp write and replace).
+EPERM/ENOSPC on open, and SIGKILL between tmp write and replace (the
+other SIGKILL point, holding the flight lock, is in
+``Session._compile_cold``).
 """
 
-import json
 import os
+import threading
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -49,23 +52,20 @@ from .format import (
     encode_entry,
     loads_program,
 )
-from .locks import FileLock
 
-INDEX_SCHEMA = "store-index-v1"
 ENTRY_SUFFIX = ".rpa"
 
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 DEFAULT_MAX_ENTRIES = 4096
-DEFAULT_LOCK_TIMEOUT = 5.0
 
-#: Orphan tmp files older than this are swept by ``gc`` (a younger tmp
-#: may belong to an in-flight writer).
+#: Orphan tmp and lock files older than this are swept by ``gc`` (a
+#: younger one may belong to an in-flight writer or compile).
 TMP_SWEEP_AGE_SECONDS = 300.0
 
 
 class StoreWarning(RuntimeWarning):
-    """A store degradation the run survived (lock timeout, write
-    failure, recovered index) — surfaced, never fatal."""
+    """A store degradation the run survived (write failure, unreadable
+    entry) — surfaced, never fatal."""
 
 
 @dataclass
@@ -77,11 +77,9 @@ class StoreStats:
     corrupt: int = 0
     puts: int = 0
     evictions: int = 0
-    lock_timeouts: int = 0
+    #: Writes skipped (the entry kept working from the in-process
+    #: cache but the disk was not written).
     write_errors: int = 0
-    #: Degradations taken (lock timeout or write error): the entry kept
-    #: working from the in-process cache but the disk was skipped.
-    degraded: int = 0
 
     def as_dict(self):
         return asdict(self)
@@ -101,187 +99,114 @@ class VerifyReport:
                 "corrupt": [list(item) for item in self.corrupt]}
 
 
+def _stamp(path):
+    """Stamp ``path``'s mtime as its recency; a failed stamp (a
+    read-only store) loses only recency."""
+    now = time.time_ns()
+    try:
+        os.utime(path, ns=(now, now))
+    except OSError:
+        pass
+
+
+def _sweep_aged(directory, marker):
+    """Remove the files of ``directory`` whose names contain ``marker``
+    and that are older than :data:`TMP_SWEEP_AGE_SECONDS`; returns how
+    many went."""
+    cutoff = time.time() - TMP_SWEEP_AGE_SECONDS
+    swept = 0
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return 0
+    for name in names:
+        if marker not in name:
+            continue
+        path = os.path.join(directory, name)
+        try:
+            if os.path.getmtime(path) < cutoff:
+                os.remove(path)
+                swept += 1
+        except OSError:
+            pass
+    return swept
+
+
 class ArtifactStore:
     """A content-addressed, size-bounded compiled-program store.
 
-    ``max_bytes``/``max_entries`` bound the store (LRU eviction on
-    ``put``); ``lock_timeout`` is the degrade deadline for advisory
-    locks; ``log`` receives degradation messages (default: a
-    :class:`StoreWarning`).
+    ``max_bytes``/``max_entries`` bound the store; a landed ``put``
+    evicts the least recently used entries past them.
     """
 
     def __init__(self, root, max_bytes=DEFAULT_MAX_BYTES,
-                 max_entries=DEFAULT_MAX_ENTRIES,
-                 lock_timeout=DEFAULT_LOCK_TIMEOUT, log=None):
+                 max_entries=DEFAULT_MAX_ENTRIES):
         self.root = os.path.abspath(root)
         self.objects_dir = os.path.join(self.root, "objects")
         self.corrupt_dir = os.path.join(self.root, "corrupt")
         self.locks_dir = os.path.join(self.root, "locks")
         for path in (self.objects_dir, self.corrupt_dir, self.locks_dir):
             os.makedirs(path, exist_ok=True)
-        self.index_path = os.path.join(self.root, "index.json")
         self.max_bytes = max_bytes
         self.max_entries = max_entries
-        self.lock_timeout = lock_timeout
-        self._log = log
         self.stats = StoreStats()
         # Publish the counters as repro_store_* series for as long as
         # this store is alive; the obs registry holds only a weakref.
         default_registry().register_source("repro_store_", self.stats,
                                            StoreStats.as_dict)
-        self.recovered_index = False
-        self._clock = 0
-        self._index = {}
-        self._load_index()
-
-    # -- logging -------------------------------------------------------
 
     def _warn(self, message):
-        if self._log is not None:
-            self._log(message)
-        else:
-            warnings.warn(message, StoreWarning, stacklevel=3)
-
-    # -- paths ---------------------------------------------------------
+        warnings.warn(message, StoreWarning, stacklevel=3)
 
     def entry_path(self, key):
         return os.path.join(self.objects_dir, key + ENTRY_SUFFIX)
 
-    def _entry_lock(self, key):
-        return FileLock(os.path.join(self.locks_dir, key[:32] + ".lock"),
-                        timeout=self.lock_timeout)
+    # -- the directory is the record -----------------------------------
 
-    def _index_lock(self):
-        return FileLock(os.path.join(self.locks_dir, "index.lock"),
-                        timeout=self.lock_timeout)
-
-    # -- index ---------------------------------------------------------
-
-    def _load_index(self):
+    def _entries(self):
+        """``(mtime_ns, name, size)`` of every regular entry file,
+        oldest first, from one scan of ``objects/``."""
+        entries = []
         try:
-            with open(self.index_path) as handle:
-                document = json.load(handle)
-            if document.get("schema") != INDEX_SCHEMA:
-                raise ValueError(
-                    f"unknown index schema {document.get('schema')!r}")
-            self._index = dict(document.get("entries", {}))
-            self._clock = int(document.get("clock", 0))
-        except FileNotFoundError:
-            self._index = {}
-            self._clock = 0
-        except (OSError, ValueError, KeyError, TypeError) as error:
-            # A torn/foreign index must not wedge the store: rebuild
-            # the bookkeeping from the object files themselves.
-            self.recovered_index = True
-            self._warn(f"store index unreadable "
-                       f"({type(error).__name__}: {error}); rebuilding "
-                       f"from a directory scan")
-            self._index = self._scan_objects()
-            self._clock = len(self._index)
-
-    def _scan_objects(self):
-        entries = {}
-        clock = 0
-        try:
-            names = sorted(os.listdir(self.objects_dir))
+            with os.scandir(self.objects_dir) as scan:
+                for entry in scan:
+                    if not entry.name.endswith(ENTRY_SUFFIX):
+                        continue
+                    try:
+                        if not entry.is_file():
+                            continue
+                        stat = entry.stat()
+                    except OSError:
+                        continue  # evicted or quarantined meanwhile
+                    entries.append((stat.st_mtime_ns, entry.name,
+                                    stat.st_size))
         except OSError:
-            return entries
-        for name in names:
-            if not name.endswith(ENTRY_SUFFIX):
-                continue
-            key = name[:-len(ENTRY_SUFFIX)]
-            try:
-                size = os.path.getsize(os.path.join(self.objects_dir, name))
-            except OSError:
-                continue
-            clock += 1
-            entries[key] = {"size": size, "used": clock, "label": "?"}
+            return []
+        entries.sort()
         return entries
 
-    def _read_disk_index(self):
-        """The freshest on-disk index (other processes checkpoint too),
-        falling back to a scan when torn."""
-        try:
-            with open(self.index_path) as handle:
-                document = json.load(handle)
-            if document.get("schema") != INDEX_SCHEMA:
-                raise ValueError("schema mismatch")
-            return dict(document.get("entries", {})), \
-                int(document.get("clock", 0))
-        except FileNotFoundError:
-            return {}, 0
-        except (OSError, ValueError, KeyError, TypeError):
-            return self._scan_objects(), len(self._index)
-
-    def _checkpoint_index(self):
-        document = {"schema": INDEX_SCHEMA, "clock": self._clock,
-                    "entries": self._index}
-        tmp = f"{self.index_path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.index_path)
-
-    def _merge_and_checkpoint(self, mutate):
-        """Under the index lock: re-read the disk index, merge our
-        recency knowledge, apply ``mutate``, evict to bounds, write the
-        checkpoint atomically.  On lock timeout: apply ``mutate`` to
-        the in-memory view only (degrade) and report ``False``."""
-        with self._index_lock() as acquired:
-            if not acquired:
-                self.stats.lock_timeouts += 1
-                self.stats.degraded += 1
-                self._warn(f"store index lock not acquired within "
-                           f"{self.lock_timeout:.1f}s; skipping index "
-                           f"checkpoint (bookkeeping degrades, entries "
-                           f"stay correct)")
-                mutate(self._index)
-                self._evict_to_bounds(persist=False)
-                return False
-            disk, disk_clock = self._read_disk_index()
-            for key, entry in self._index.items():
-                known = disk.get(key)
-                if known is None:
-                    if os.path.exists(self.entry_path(key)):
-                        disk[key] = entry
-                elif entry.get("used", 0) > known.get("used", 0):
-                    known["used"] = entry["used"]
-            self._clock = max(self._clock, disk_clock)
-            self._index = disk
-            mutate(self._index)
-            self._evict_to_bounds(persist=False)
-            self._checkpoint_index()
-            return True
-
-    def _evict_to_bounds(self, persist=True, max_bytes=None,
-                         max_entries=None):
-        """Drop least-recently-used entries until within bounds;
-        returns the evicted keys."""
+    def _evict_to_bounds(self, max_bytes=None, max_entries=None):
+        """Remove the oldest entries until the store is within bounds;
+        returns how many were removed.  A remove that fails is skipped
+        and not counted."""
         max_bytes = self.max_bytes if max_bytes is None else max_bytes
         max_entries = self.max_entries if max_entries is None else max_entries
-        evicted = []
-
-        def over_bounds():
-            if max_entries is not None and len(self._index) > max_entries:
-                return True
-            if max_bytes is not None:
-                total = sum(e.get("size", 0) for e in self._index.values())
-                return total > max_bytes
-            return False
-
-        while self._index and over_bounds():
-            key = min(self._index, key=lambda k: self._index[k].get("used", 0))
-            self._index.pop(key)
+        entries = self._entries()
+        count = len(entries)
+        total = sum(size for _, _, size in entries)
+        evicted = 0
+        for _, name, size in entries:
+            if (max_entries is None or count <= max_entries) \
+                    and (max_bytes is None or total <= max_bytes):
+                break
             try:
-                os.remove(self.entry_path(key))
+                os.remove(os.path.join(self.objects_dir, name))
             except OSError:
-                pass  # already gone / transient: gc re-syncs
-            self.stats.evictions += 1
-            evicted.append(key)
-        if evicted and persist:
-            self._checkpoint_index()
+                continue
+            count -= 1
+            total -= size
+            evicted += 1
+        self.stats.evictions += evicted
         return evicted
 
     # -- quarantine ----------------------------------------------------
@@ -311,7 +236,6 @@ class ArtifactStore:
             except OSError:
                 pass
         self.stats.corrupt += 1
-        self._index.pop(key, None)
         return target
 
     def quarantined(self):
@@ -361,17 +285,13 @@ class ArtifactStore:
                        f"recompiling")
             return None
         self.stats.hits += 1
-        self._clock += 1
-        entry = self._index.get(key)
-        if entry is not None:
-            entry["used"] = self._clock
+        _stamp(path)
         return program
 
     def put(self, key, compiled, key_text="", label=""):
         """Persist ``compiled`` under ``key``; returns True when the
         entry landed on disk.  Any failure — unpicklable payload,
-        filesystem error, lock timeout — degrades (warn + False),
-        never raises."""
+        filesystem error — degrades (warn + False), never raises."""
         with tracer().span("store.put", key=key[:12], label=label) as span:
             landed = self._put(key, compiled, key_text, label)
             span.set(landed=landed)
@@ -382,50 +302,35 @@ class ArtifactStore:
             payload = dumps_program(compiled)
         except Exception as error:
             self.stats.write_errors += 1
-            self.stats.degraded += 1
             self._warn(f"store entry {key[:12]} not persisted: payload "
                        f"does not pickle ({type(error).__name__}: {error})")
             return False
         blob = encode_entry(key, key_text, label, payload)
         path = self.entry_path(key)
-        with self._entry_lock(key) as acquired:
-            if not acquired:
-                self.stats.lock_timeouts += 1
-                self.stats.degraded += 1
-                self._warn(f"store entry {key[:12]} lock not acquired "
-                           f"within {self.lock_timeout:.1f}s; keeping the "
-                           f"in-process copy only")
-                return False
-            faults.maybe_die("locked")
-            tmp = f"{path}.tmp.{os.getpid()}"
+        # One tmp file per writer: two threads of a process may put
+        # the same key at once.
+        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+        try:
+            faults.check_write_open()
+            with open(tmp, "wb") as handle:
+                handle.write(faults.mangle_payload(blob))
+                handle.flush()
+                os.fsync(handle.fileno())
+            faults.maybe_die("replace")
+            os.replace(tmp, path)
+        except OSError as error:
+            self.stats.write_errors += 1
+            self._warn(f"store entry {key[:12]} not persisted "
+                       f"({type(error).__name__}: {error}); keeping "
+                       f"the in-process copy only")
             try:
-                faults.check_write_open()
-                with open(tmp, "wb") as handle:
-                    handle.write(faults.mangle_payload(blob))
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                faults.maybe_die("replace")
-                os.replace(tmp, path)
-            except OSError as error:
-                self.stats.write_errors += 1
-                self.stats.degraded += 1
-                self._warn(f"store entry {key[:12]} not persisted "
-                           f"({type(error).__name__}: {error}); keeping "
-                           f"the in-process copy only")
-                try:
-                    os.remove(tmp)
-                except OSError:
-                    pass
-                return False
+                os.remove(tmp)
+            except OSError:
+                pass
+            return False
         self.stats.puts += 1
-        self._clock += 1
-        size = len(blob)
-
-        def mutate(index):
-            index[key] = {"size": size, "used": self._clock,
-                          "label": label or "?"}
-
-        self._merge_and_checkpoint(mutate)
+        _stamp(path)
+        self._evict_to_bounds()
         return True
 
     # -- the compile-cache convenience layer ---------------------------
@@ -488,28 +393,16 @@ class ArtifactStore:
                 report.corrupt.append((key, "io", str(error)))
                 continue
             report.ok += 1
-        if report.corrupt:
-            self._merge_and_checkpoint(lambda index: None)
         return report
 
     def gc(self, max_bytes=None, max_entries=None, sweep_corrupt=False):
-        """Re-sync bookkeeping with the filesystem and enforce bounds:
-        sweep stale tmp files, index entries written by writers that
-        died before their checkpoint, drop records whose files are
-        gone, evict LRU past the (optionally overridden) bounds, and
-        optionally empty the quarantine."""
-        report = {"tmp_swept": 0, "adopted": 0, "dropped": 0,
+        """Sweep the tmp and lock files that writers and compiles
+        killed mid-flight left behind, optionally empty the quarantine,
+        and evict the oldest entries past the (optionally overridden)
+        bounds."""
+        report = {"tmp_swept": _sweep_aged(self.objects_dir, ".tmp."),
+                  "locks_swept": _sweep_aged(self.locks_dir, ".lock"),
                   "evicted": 0, "corrupt_swept": 0}
-        now = time.time()
-        for name in sorted(os.listdir(self.objects_dir)):
-            path = os.path.join(self.objects_dir, name)
-            if ".tmp." in name:
-                try:
-                    if now - os.path.getmtime(path) > TMP_SWEEP_AGE_SECONDS:
-                        os.remove(path)
-                        report["tmp_swept"] += 1
-                except OSError:
-                    pass
         if sweep_corrupt:
             for name in self.quarantined():
                 try:
@@ -517,27 +410,8 @@ class ArtifactStore:
                     report["corrupt_swept"] += 1
                 except OSError:
                     pass
-
-        def mutate(index):
-            on_disk = {name[:-len(ENTRY_SUFFIX)]
-                       for name in os.listdir(self.objects_dir)
-                       if name.endswith(ENTRY_SUFFIX)}
-            for key in on_disk - set(index):
-                self._clock += 1
-                try:
-                    size = os.path.getsize(self.entry_path(key))
-                except OSError:
-                    continue
-                index[key] = {"size": size, "used": self._clock,
-                              "label": "?"}
-                report["adopted"] += 1
-            for key in set(index) - on_disk:
-                del index[key]
-                report["dropped"] += 1
-
-        self._merge_and_checkpoint(mutate)
-        report["evicted"] = len(self._evict_to_bounds(
-            max_bytes=max_bytes, max_entries=max_entries))
+        report["evicted"] = self._evict_to_bounds(
+            max_bytes=max_bytes, max_entries=max_entries)
         return report
 
     def stats_report(self):
@@ -549,8 +423,7 @@ class ArtifactStore:
         processes — the registry's merged side table only, so other
         store instances alive in the process never leak in.
         """
-        entries = len(self._index)
-        total = sum(e.get("size", 0) for e in self._index.values())
+        entries = self._entries()
         counters = self.stats.as_dict()
         prefix = "repro_store_"
         for name, value in default_registry().merged(prefix).items():
@@ -558,11 +431,10 @@ class ArtifactStore:
             counters[key] = counters.get(key, 0) + value
         return {
             "root": self.root,
-            "entries": entries,
-            "total_bytes": total,
+            "entries": len(entries),
+            "total_bytes": sum(size for _, _, size in entries),
             "max_bytes": self.max_bytes,
             "max_entries": self.max_entries,
             "quarantined": len(self.quarantined()),
-            "recovered_index": self.recovered_index,
             "counters": counters,
         }

@@ -63,9 +63,10 @@ class TestKillMidWrite:
         # And the survivor's write landed.
         assert ArtifactStore(store_dir).stats_report()["entries"] == 1
 
-    def test_sigkill_while_holding_the_entry_lock(self, tmp_path):
-        """Die while holding the advisory entry lock: flock dies with
-        its holder, so the next writer proceeds without a timeout."""
+    def test_sigkill_while_holding_the_flight_lock(self, tmp_path):
+        """Die while holding a cold key's flight lock, between compile
+        and save: flock dies with its holder, so the next process takes
+        the lock without waiting out its timeout and compiles."""
         store_dir = tmp_path / "store"
         victim = run_python(
             compile_snippet("victim"),

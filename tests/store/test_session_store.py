@@ -208,6 +208,23 @@ class TestCorruptionThroughTheFacade:
             .cache["origin"] == "store"
 
 
+class TestFlightLocks:
+    def test_cold_compiles_leave_no_lock_files(self, tmp_path):
+        """Each cold compile removes its flight-lock file, also when
+        the compile fails, so a bounded store does not grow one lock
+        file per distinct program ever compiled."""
+        from repro.frontend.errors import FrontendError
+
+        session = Session(store_dir=str(tmp_path / "store"))
+        session.store.max_entries = 5
+        for index in range(40):
+            session.run(f"int main(void) {{ return {index}; }}")
+        with pytest.raises(FrontendError):
+            session.run("int main(void) { return undeclared; }")
+        assert os.listdir(session.store.locks_dir) == []
+        assert session.store.stats_report()["entries"] == 5
+
+
 class TestBatchWorkersShareTheStore:
     def items(self):
         return [(f"job{index}",
